@@ -8,7 +8,8 @@ parameterized fat-tree, at three fleet sizes:
   kernel regression fails CI;
 * **256 VMs** (k=8, 128 hosts) — measured on *both* flow-kernel arms:
   the contention-scoped incremental solver must deliver ≥ 5× the
-  events/sec of the global-resolve kernel under identical traffic;
+  events/sec of the global-resolve reference kernel
+  (:mod:`repro.network.flows_reference`) under identical traffic;
 * **1,024 VMs** (k=16, 1,024 hosts) — one full simulated hour of
   continuous arrivals, the headline the roadmap asks for.
 
@@ -23,6 +24,8 @@ import pathlib
 
 import pytest
 
+import repro.orchestrator.continuous
+from repro.network.flows_reference import GlobalResolveFlowNetwork
 from repro.orchestrator.continuous import ScaleConfig, run_scale_scenario
 
 from benchmarks.conftest import run_once
@@ -92,11 +95,14 @@ def test_scale_small_fleet_vs_baseline(benchmark, record_result):
     )
 
 
-def test_scale_256_speedup_vs_global_resolve(benchmark, record_result):
+def test_scale_256_speedup_vs_global_resolve(benchmark, record_result, monkeypatch):
     def both_arms():
         incremental = run_scale_scenario(CONFIG_256)
-        legacy_cfg = ScaleConfig(**{**CONFIG_256.__dict__, "incremental": False})
-        legacy = run_scale_scenario(legacy_cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                repro.orchestrator.continuous, "FlowNetwork", GlobalResolveFlowNetwork
+            )
+            legacy = run_scale_scenario(CONFIG_256)
         return incremental, legacy
 
     incremental, legacy = run_once(benchmark, both_arms)

@@ -14,9 +14,10 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import HardwareError
 from repro.sim.events import Event
-from repro.sim.fairshare import FairShare, FairShareTask
+from repro.sim.fairshare import FairShare
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.network.flows import Flow
     from repro.sim.core import Environment
 
 
@@ -41,7 +42,7 @@ class HostCpu:
         """Instantaneous utilization in cores (≤ ``cores``)."""
         return self._service.utilization * self.cores
 
-    def run_thread(self, cpu_seconds: float, label: str = "") -> FairShareTask:
+    def run_thread(self, cpu_seconds: float, label: str = "") -> Flow:
         """Submit one thread of ``cpu_seconds`` of work (≤ 1 core).
 
         Returns the task; ``task.done`` fires on completion.  With no
@@ -53,7 +54,7 @@ class HostCpu:
 
     def run_task(
         self, cpu_seconds: float, max_cores: float = 1.0, label: str = ""
-    ) -> FairShareTask:
+    ) -> Flow:
         """Submit a task whose work spreads over up to ``max_cores`` cores.
 
         Used for multi-context kernel work (e.g. a TCP stream's guest vCPU
@@ -81,7 +82,7 @@ class HostCpu:
         ]
         return self.env.all_of([t.done for t in tasks])
 
-    def cancel(self, task: FairShareTask) -> None:
+    def cancel(self, task: Flow) -> None:
         """Abort a running thread (used when a VM is destroyed mid-run)."""
         self._service.cancel(task)
 

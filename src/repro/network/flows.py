@@ -15,12 +15,14 @@ component.  A flow add/remove/cap-change therefore re-solves only the
 component the changed flow touches; every other flow keeps its rate, its
 credited progress, and its scheduled completion.  Progress is credited
 *lazily* (per flow, at its last rate change) and completions come off a
-per-flow heap, so one churn event costs O(component), not O(all flows).
+heap holding one entry per solved component (its earliest finish), so one
+churn event costs O(component), not O(all flows).
 
-``FlowNetwork(..., incremental=False)`` keeps the pre-incremental kernel —
-global re-solve plus an O(F) progress/min scan on every event — as the
-measured baseline arm of ``benchmarks/test_scale.py`` and as the oracle
-the Hypothesis equivalence property compares against.
+This is the repo's one fluid max-min engine: a host's CPU cores and the
+NFS server's bandwidth (:class:`~repro.sim.fairshare.FairShare`) are the
+one-link case of it.  The pre-incremental kernel — global re-solve plus
+an O(F) progress/min scan on every event — lives on only as a reference
+(:mod:`repro.network.flows_reference`) for benchmarks and tests.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import heapq
 import time as _time
 from dataclasses import dataclass, field
 from itertools import count
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import LinkDownError, NetworkError, SimulationError
 from repro.network.links import DirectedLink, Link
@@ -42,6 +45,7 @@ _EPS = 1e-9
 #: Minimum wakeup quantum: guards against sub-float-resolution timeouts
 #: (``now + dt == now``) that would spin the event loop forever.
 _MIN_DT = 1e-9
+_INF = float("inf")
 
 
 @dataclass(eq=False)
@@ -62,10 +66,18 @@ class Flow:
     _updated_at: float = field(default=0.0, repr=False)
     #: Registered in a FlowNetwork's active set.
     _active: bool = field(default=False, repr=False)
+    #: The per-link active-flow sets it is registered in (one per path
+    #: link), so graph walks never re-hash links.
+    _buckets: tuple = field(default=(), repr=False)
     #: Counted in the network's progressing-flow tally (rate > eps).
     _progressing: bool = field(default=False, repr=False)
-    #: Current completion-heap entry (identity-compared; None = no entry).
+    #: Predicted finish time at the current rate (inf if not progressing).
+    _finish_at: float = field(default=float("inf"), repr=False)
+    #: The completion-heap entry this flow owns as its component's first
+    #: finisher (identity-compared; None = owns no live entry).
     _finish_entry: Optional[tuple] = field(default=None, repr=False)
+    #: Start order in its network: same-instant completions fire in it.
+    _seq: int = field(default=0, repr=False)
 
     @property
     def finished(self) -> bool:
@@ -77,13 +89,17 @@ class Flow:
 
 
 def compute_maxmin_flow_rates(flows: List[Flow]) -> None:
-    """Assign ``rate_Bps`` to each flow by progressive filling (in place).
+    """Assign ``rate_Bps`` to each flow by weighted progressive filling.
 
-    Loopback flows (empty path) are only limited by their own cap.  The
-    per-link active weight is maintained incrementally (O(rounds · F · L)
-    instead of O(rounds · F² · L)).  Iteration follows the input order, so
-    the result is deterministic for a given flow list — this function is
-    both the legacy-mode solver and the from-scratch oracle the
+    All active flows fill at a common *level* (rate per unit weight).  A
+    flow freezes when the level reaches its cap over its weight or the
+    fair level of its tightest link (residual capacity over the link's
+    active weight); frozen flows keep ``level * weight``.  Loopback flows
+    (empty path) are only limited by their own cap.  The per-link active
+    weight is maintained incrementally (O(rounds · F · L) instead of
+    O(rounds · F² · L)).  Iteration follows the input order, so the result
+    is deterministic for a given flow list — this function is both the
+    engine's per-component solver and the from-scratch oracle the
     incremental engine is property-tested against.
     """
     residual: Dict[DirectedLink, float] = {}
@@ -100,16 +116,16 @@ def compute_maxmin_flow_rates(flows: List[Flow]) -> None:
     active: Dict[Flow, None] = dict.fromkeys(flows)
     tentative: Dict[Flow, float] = {}
     while active:
-        # Tentative rate of each active flow: its cap, or the fair share of
-        # its tightest link (weighted by flow weight).
+        # Tentative level of each active flow: its cap, or the fair level of
+        # its tightest link.  ``* (1.0 / w)`` rather than ``/ w`` keeps
+        # unit-weight rates bit-identical to earlier releases.
         floor = float("inf")
         for flow in active:
-            best = flow.cap_Bps
-            weight = flow.weight
+            best = flow.cap_Bps / flow.weight
             for dlink in flow.path:
-                share = residual[dlink] * (weight / weight_sum[dlink])
-                if share < best:
-                    best = share
+                level = residual[dlink] * (1.0 / weight_sum[dlink])
+                if level < best:
+                    best = level
             tentative[flow] = best
             if best < floor:
                 floor = best
@@ -119,7 +135,7 @@ def compute_maxmin_flow_rates(flows: List[Flow]) -> None:
         if not frozen:  # pragma: no cover - numeric safety
             frozen = list(active)
         for flow in frozen:
-            rate = tentative[flow]
+            rate = tentative[flow] * flow.weight
             flow.rate_Bps = rate if rate > 0.0 else 0.0
             for dlink in flow.path:
                 new_residual = residual[dlink] - flow.rate_Bps
@@ -157,22 +173,11 @@ class SolverStats:
 
 
 class FlowNetwork:
-    """Manages active flows and completes them at fluid-model times.
+    """Manages active flows and completes them at fluid-model times."""
 
-    Parameters
-    ----------
-    incremental:
-        ``True`` (default) uses the contention-scoped incremental solver;
-        ``False`` re-solves globally on every event (the pre-incremental
-        kernel, kept as the benchmark baseline and differential oracle).
-    """
-
-    def __init__(
-        self, env: "Environment", name: str = "flows", incremental: bool = True
-    ) -> None:
+    def __init__(self, env: "Environment", name: str = "flows") -> None:
         self.env = env
         self.name = name
-        self.incremental = incremental
         #: Active flows (insertion-ordered; dict-as-ordered-set).
         self._flows: Dict[Flow, None] = {}
         #: Per-link active-flow sets — the adjacency of the contention graph.
@@ -185,7 +190,6 @@ class FlowNetwork:
         self._nprogress = 0
         self._wakeup: Optional[Event] = None
         self._wakeup_at = float("inf")
-        self._last_update = env.now  # legacy (incremental=False) mode only
         #: Running counters for diagnostics.
         self.total_started = 0
         self.total_completed = 0
@@ -219,15 +223,22 @@ class FlowNetwork:
 
     def start(
         self,
-        path: List[DirectedLink],
+        path: Sequence[DirectedLink],
         nbytes: float,
         cap_Bps: float = float("inf"),
         weight: float = 1.0,
         label: str = "",
     ) -> Flow:
-        """Begin a transfer; ``flow.done`` fires when the last byte lands."""
-        if nbytes < 0:
-            raise NetworkError("nbytes must be non-negative")
+        """Begin a transfer; ``flow.done`` fires when the last byte lands.
+
+        Invalid inputs raise :class:`NetworkError` before any state changes.
+        """
+        if not nbytes >= 0:
+            raise NetworkError(f"{self.name}: nbytes must be non-negative, got {nbytes}")
+        if not weight > 0:
+            raise NetworkError(f"{self.name}: weight must be positive, got {weight}")
+        if not cap_Bps > 0:
+            raise NetworkError(f"{self.name}: cap must be positive, got {cap_Bps}")
         for dlink in path:
             if not dlink.up:
                 raise NetworkError(f"{self.name}: link {dlink.link.name} is down")
@@ -248,6 +259,7 @@ class FlowNetwork:
         flow.remaining = float(nbytes)
         flow.started_at = now
         flow._updated_at = now
+        flow._seq = self.total_started
         self.total_started += 1
         if nbytes <= _EPS:
             flow.finished_at = now
@@ -291,7 +303,7 @@ class FlowNetwork:
         is the one mutation that always re-solves globally.
         """
         self._settle(self.env.now)
-        self._resolve_after_change(list(self._flows), scope_all=True)
+        self._resolve_after_change(list(self._flows))
 
     def fail_flows_on(self, link: Link) -> int:
         """Fail every in-flight flow whose path crosses ``link``.
@@ -327,11 +339,15 @@ class FlowNetwork:
     def _add(self, flow: Flow) -> None:
         self._flows[flow] = None
         flow._active = True
+        link_flows = self._link_flows
+        buckets = []
         for dlink in flow.path:
-            bucket = self._link_flows.get(dlink)
+            bucket = link_flows.get(dlink)
             if bucket is None:
-                bucket = self._link_flows[dlink] = {}
+                bucket = link_flows[dlink] = {}
             bucket[flow] = None
+            buckets.append(bucket)
+        flow._buckets = tuple(buckets)
 
     def _remove(self, flow: Flow) -> None:
         del self._flows[flow]
@@ -340,11 +356,11 @@ class FlowNetwork:
         if flow._progressing:
             flow._progressing = False
             self._nprogress -= 1
-        for dlink in flow.path:
-            bucket = self._link_flows[dlink]
+        for dlink, bucket in zip(flow.path, flow._buckets):
             del bucket[flow]
             if not bucket:
                 del self._link_flows[dlink]
+        flow._buckets = ()
 
     def _credit(self, flow: Flow, now: float) -> None:
         """Materialize lazily-accounted progress up to ``now``."""
@@ -357,59 +373,92 @@ class FlowNetwork:
     def _neighbors(self, flow: Flow) -> List[Flow]:
         """Flows sharing a link with ``flow`` (its contention-graph edges)."""
         seen: Dict[Flow, None] = {}
-        for dlink in flow.path:
-            for other in self._link_flows.get(dlink, ()):
+        for bucket in flow._buckets:
+            for other in bucket:
                 if other is not flow:
                     seen[other] = None
         return list(seen)
 
-    def _component(self, seeds: List[Flow]) -> List[Flow]:
-        """Connected component(s) of the contention graph containing ``seeds``."""
-        seen: Dict[Flow, None] = dict.fromkeys(s for s in seeds if s._active)
-        stack = list(seen)
-        while stack:
-            flow = stack.pop()
-            for dlink in flow.path:
-                for other in self._link_flows[dlink]:
-                    if other not in seen:
-                        seen[other] = None
-                        stack.append(other)
-        return list(seen)
+    def _components(self, seeds: List[Flow]) -> List[List[Flow]]:
+        """Connected components of the contention graph containing ``seeds``.
+
+        Each component lists its seed first, then flows in discovery order.
+        """
+        seen: set[Flow] = set()
+        # Ids of the link buckets already walked: a link shared by n flows
+        # is walked once, not once per flow.
+        walked: set[int] = set()
+        components = []
+        for seed in seeds:
+            if seed in seen or not seed._active:
+                continue
+            seen.add(seed)
+            component = [seed]
+            stack = [seed]
+            while stack:
+                flow = stack.pop()
+                for bucket in flow._buckets:
+                    if len(bucket) == 1 or id(bucket) in walked:
+                        continue
+                    walked.add(id(bucket))
+                    for other in bucket:
+                        if other not in seen:
+                            seen.add(other)
+                            component.append(other)
+                            # A one-link flow has no bucket left to walk.
+                            if len(other._buckets) > 1:
+                                stack.append(other)
+            components.append(component)
+        return components
 
     # -- solving --------------------------------------------------------------
 
-    def _resolve_after_change(self, seeds: List[Flow], scope_all: bool = False) -> None:
+    def _resolve_after_change(self, seeds: List[Flow]) -> None:
         """Re-solve rates for the contention component(s) of ``seeds``."""
-        if not self.incremental:
-            # Legacy kernel: the global re-solve lives in the reschedule.
-            self._reschedule_legacy()
-            return
-        affected = list(self._flows) if scope_all else self._component(seeds)
-        if affected:
-            self._solve(affected)
+        components = self._components(seeds)
+        if components:
+            self._solve(components)
         self._check_progress()
         self._schedule_wakeup()
 
-    def _solve(self, affected: List[Flow]) -> None:
-        """Credit progress, recompute rates, and reschedule ``affected``."""
+    def _solve(self, components: List[List[Flow]]) -> None:
+        """Credit progress, recompute rates, and reschedule ``components``.
+
+        Each component gets one completion-heap entry, keyed by its
+        earliest finish; its first flow to finish is the entry's owner.
+        """
         stats = self.solver_stats
         t0 = _time.perf_counter() if stats is not None else 0.0
         now = self.env.now
+        if len(components) == 1:
+            affected = components[0]
+        else:
+            affected = [flow for component in components for flow in component]
         for flow in affected:
             self._credit(flow, now)
         compute_maxmin_flow_rates(affected)
-        for flow in affected:
-            progressing = flow.rate_Bps > _EPS
-            if progressing != flow._progressing:
-                flow._progressing = progressing
-                self._nprogress += 1 if progressing else -1
-            if progressing:
-                finish_at = now + flow.remaining / flow.rate_Bps
-                entry = (finish_at, next(self._entry_seq), flow)
-                flow._finish_entry = entry
-                heapq.heappush(self._completions, entry)
-            else:
+        nprogress = self._nprogress
+        for component in components:
+            owner = None
+            first_at = _INF
+            for flow in component:
+                rate = flow.rate_Bps
+                progressing = rate > _EPS
+                if progressing != flow._progressing:
+                    flow._progressing = progressing
+                    nprogress += 1 if progressing else -1
                 flow._finish_entry = None
+                if progressing:
+                    finish_at = flow._finish_at = now + flow.remaining / rate
+                    if finish_at < first_at:
+                        owner, first_at = flow, finish_at
+                else:
+                    flow._finish_at = _INF
+            if owner is not None:
+                entry = (first_at, next(self._entry_seq), owner, component)
+                owner._finish_entry = entry
+                heapq.heappush(self._completions, entry)
+        self._nprogress = nprogress
         if stats is not None:
             stats.calls += 1
             stats.flows_touched += len(affected)
@@ -424,21 +473,28 @@ class FlowNetwork:
     # -- completions ----------------------------------------------------------
 
     def _settle(self, now: float) -> None:
-        """Complete every flow whose scheduled finish time is due at ``now``."""
-        if not self.incremental:
-            self._advance_progress_legacy()
-            return
+        """Complete every flow whose scheduled finish time is due at ``now``.
+
+        Flows due together complete in start order, as a global re-solve
+        (which scans flows in insertion order) would complete them.
+        """
         heap = self._completions
         finished: List[Flow] = []
         horizon = now + _MIN_DT
         while heap and heap[0][0] <= horizon:
             entry = heapq.heappop(heap)
-            flow = entry[2]
-            if entry is not flow._finish_entry or not flow._active:
-                continue  # stale entry (rate changed or flow removed)
-            finished.append(flow)
+            if entry is not entry[2]._finish_entry:
+                continue  # stale: the component was re-solved or removed
+            # Every flow of the component due by now finishes; the rest are
+            # re-solved below (each piece of the component left behind
+            # neighbours a finished flow).
+            for flow in entry[3]:
+                if flow._finish_at <= horizon:
+                    finished.append(flow)
         if not finished:
             return
+        if len(finished) > 1:
+            finished.sort(key=attrgetter("_seq"))
         neighbors: Dict[Flow, None] = {}
         for flow in finished:
             for other in self._neighbors(flow):
@@ -450,23 +506,19 @@ class FlowNetwork:
             flow.finished_at = now
             self.total_completed += 1
             flow.done.succeed(flow)
-        affected = [f for f in neighbors if f._active]
-        if affected:
-            self._solve(self._component(affected))
+        components = self._components(list(neighbors))
+        if components:
+            self._solve(components)
         self._check_progress()
         # Survivors may have sped up (earlier finishes): make sure a wakeup
         # is pending at or before the new heap minimum.
         self._schedule_wakeup()
 
     def _schedule_wakeup(self) -> None:
-        if not self.incremental:
-            self._reschedule_legacy()
-            return
         heap = self._completions
         while heap:
             entry = heap[0]
-            flow = entry[2]
-            if entry is flow._finish_entry and flow._active:
+            if entry is entry[2]._finish_entry:
                 break
             heapq.heappop(heap)
         if not heap:
@@ -491,55 +543,3 @@ class FlowNetwork:
         self._wakeup_at = float("inf")
         self._settle(self.env.now)
         self._schedule_wakeup()
-
-    # -- legacy global kernel (incremental=False) ------------------------------
-
-    def _advance_progress_legacy(self) -> None:
-        """Pre-incremental kernel: credit every flow, complete the due ones."""
-        now = self.env.now
-        elapsed = now - self._last_update
-        self._last_update = now
-        if elapsed <= 0 or not self._flows:
-            return
-        finished = []
-        for flow in self._flows:
-            flow.remaining -= flow.rate_Bps * elapsed
-            flow._updated_at = now
-            if flow.remaining <= _EPS * max(1.0, flow.nbytes) or (
-                flow.rate_Bps > 0 and flow.remaining <= flow.rate_Bps * _MIN_DT
-            ):
-                flow.remaining = 0.0
-                finished.append(flow)
-        for flow in finished:
-            self._remove(flow)
-            flow.finished_at = now
-            self.total_completed += 1
-            flow.done.succeed(flow)
-
-    def _reschedule_legacy(self) -> None:
-        """Pre-incremental kernel: global re-solve + single-min wakeup."""
-        self._wakeup = None
-        if not self._flows:
-            return
-        flows = list(self._flows)
-        stats = self.solver_stats
-        t0 = _time.perf_counter() if stats is not None else 0.0
-        compute_maxmin_flow_rates(flows)
-        if stats is not None:
-            stats.calls += 1
-            stats.flows_touched += len(flows)
-            stats.samples_s.append(_time.perf_counter() - t0)
-        self._nprogress = sum(1 for f in flows if f.rate_Bps > _EPS)
-        for flow in flows:
-            flow._progressing = flow.rate_Bps > _EPS
-        next_dt = min(
-            (f.remaining / f.rate_Bps for f in flows if f.rate_Bps > _EPS),
-            default=None,
-        )
-        if next_dt is None:
-            raise SimulationError(
-                f"FlowNetwork {self.name!r}: flows present but none can progress"
-            )
-        wakeup = self.env.timeout(max(next_dt, _MIN_DT))
-        self._wakeup = wakeup
-        wakeup.callbacks.append(self._on_wakeup)

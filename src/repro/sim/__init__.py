@@ -27,7 +27,6 @@ from repro.sim.core import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Container, PriorityResource, Resource, Store
-from repro.sim.fairshare import FairShare, FairShareTask, maxmin_rates
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -37,8 +36,6 @@ __all__ = [
     "Container",
     "Environment",
     "Event",
-    "FairShare",
-    "FairShareTask",
     "Interrupt",
     "PriorityResource",
     "Process",
@@ -48,5 +45,4 @@ __all__ = [
     "Timeout",
     "TraceRecord",
     "Tracer",
-    "maxmin_rates",
 ]

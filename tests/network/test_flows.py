@@ -1,5 +1,7 @@
 """Unit + property tests: the flow-level network engine."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,10 @@ def test_capped_flow_frees_capacity():
     compute_maxmin_flow_rates(flows)
     assert flows[0].rate_Bps == pytest.approx(10.0)
     assert flows[1].rate_Bps == pytest.approx(90.0)
+    # Every flow capped below its share: the rest of the link stays idle.
+    all_capped = [_mkflow([link], 1000, cap=1.0), _mkflow([link], 1000, cap=2.0)]
+    compute_maxmin_flow_rates(all_capped)
+    assert [f.rate_Bps for f in all_capped] == pytest.approx([1.0, 2.0])
 
 
 def test_bottleneck_on_different_links():
@@ -60,6 +66,13 @@ def test_weighted_flows():
     compute_maxmin_flow_rates(flows)
     assert flows[0].rate_Bps == pytest.approx(30.0)
     assert flows[1].rate_Bps == pytest.approx(60.0)
+    # Filling is by rate per unit weight: the heavy flow hits its cap
+    # first and the light one takes the capacity it leaves.
+    small = _dlink(2.0)
+    capped = [_mkflow([small], 1000, cap=1.0, weight=1.0),
+              _mkflow([small], 1000, cap=1.0, weight=2.0)]
+    compute_maxmin_flow_rates(capped)
+    assert [f.rate_Bps for f in capped] == pytest.approx([1.0, 1.0])
 
 
 @given(
@@ -93,6 +106,40 @@ def test_maxmin_flow_invariants(capacities, nflows, seed):
             for dlink in flow.path
         )
         assert saturated
+
+
+@given(
+    capacity=st.floats(min_value=0.1, max_value=1e6),
+    weights=st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=20),
+    cap_value=st.floats(min_value=0.01, max_value=1e6),
+)
+@settings(max_examples=200)
+def test_one_link_maxmin_invariants(capacity, weights, cap_value):
+    """Rates never exceed capacity, caps, or go negative; work-conserving."""
+    link = _dlink(capacity)
+    flows = [_mkflow([link], 1000, cap=cap_value, weight=w) for w in weights]
+    compute_maxmin_flow_rates(flows)
+    rates = [f.rate_Bps for f in flows]
+    assert all(r >= 0 for r in rates)
+    assert all(r <= cap_value + 1e-6 * cap_value for r in rates)
+    total = sum(rates)
+    assert total <= capacity * (1 + 1e-9) + 1e-9
+    # Work conservation: either capacity is (nearly) used up, or every
+    # flow is at its cap.
+    if total < capacity * (1 - 1e-6):
+        assert all(r >= cap_value * (1 - 1e-6) for r in rates)
+
+
+@given(
+    weights=st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=2, max_size=10)
+)
+@settings(max_examples=100)
+def test_one_link_uncapped_split_proportional_to_weight(weights):
+    link = _dlink(100.0)
+    flows = [_mkflow([link], 1000, weight=w) for w in weights]
+    compute_maxmin_flow_rates(flows)
+    ratios = [f.rate_Bps / f.weight for f in flows]
+    assert max(ratios) - min(ratios) < 1e-6 * max(ratios)
 
 
 # -- FlowNetwork dynamics -------------------------------------------------------------
@@ -202,3 +249,39 @@ def test_many_tiny_flows_terminate(env):
     flows = [net.start([link], 8.0) for _ in range(50)]
     env.run()
     assert all(f.finished for f in flows)
+
+
+@pytest.mark.parametrize(
+    "nbytes, kwargs",
+    [
+        (-1.0, {}),
+        (math.nan, {}),
+        (100.0, {"weight": 0.0}),
+        (100.0, {"weight": -1.0}),
+        (100.0, {"weight": math.nan}),
+        (100.0, {"cap_Bps": 0.0}),
+        (100.0, {"cap_Bps": math.nan}),
+    ],
+)
+def test_invalid_start_changes_nothing(env, nbytes, kwargs):
+    net = FlowNetwork(env)
+    link = _dlink(100.0)
+    with pytest.raises(NetworkError):
+        net.start([link], nbytes, **kwargs)
+    assert net.active_count == 0
+    assert net.total_started == 0
+    # The network still works afterwards.
+    flow = net.start([link], 100.0)
+    env.run()
+    assert flow.finished_at == pytest.approx(1.0)
+
+
+def test_same_instant_completions_fire_in_start_order(env):
+    net = FlowNetwork(env)
+    link = _dlink(100.0)
+    order = []
+    for label in ("first", "second"):
+        flow = net.start([link], 100.0, label=label)
+        flow.done.callbacks.append(lambda event: order.append(event.value.label))
+    env.run()
+    assert order == ["first", "second"]

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.orchestrator.continuous
 from repro.errors import FleetError
+from repro.network.flows_reference import GlobalResolveFlowNetwork
 from repro.orchestrator.continuous import (
     CHURN,
     CONSOLIDATE,
@@ -48,11 +50,14 @@ def test_campaign_is_deterministic_per_seed():
     assert a.duration_s == b.duration_s
 
 
-def test_kernel_arms_agree_on_fleet_outcomes():
+def test_kernel_arms_agree_on_fleet_outcomes(monkeypatch):
     """The incremental and global-resolve kernels are different engines
     for the same fluid model: identical traffic, identical outcomes."""
-    inc = run_scale_scenario(ScaleConfig(**_SMALL, incremental=True))
-    leg = run_scale_scenario(ScaleConfig(**_SMALL, incremental=False))
+    inc = run_scale_scenario(ScaleConfig(**_SMALL))
+    monkeypatch.setattr(
+        repro.orchestrator.continuous, "FlowNetwork", GlobalResolveFlowNetwork
+    )
+    leg = run_scale_scenario(ScaleConfig(**_SMALL))
     assert inc.moves_requested == leg.moves_requested
     assert inc.migrations_completed == leg.migrations_completed
     assert inc.flows_started == leg.flows_started
@@ -108,7 +113,7 @@ def test_result_to_dict_is_json_ready():
 
 def test_zero_division_guards():
     empty = ScaleResult(
-        n_vms=0, n_hosts=0, k=0, incremental=True, duration_s=0.0, wall_s=0.0,
+        n_vms=0, n_hosts=0, k=0, duration_s=0.0, wall_s=0.0,
         requests={}, moves_requested=0, migrations_completed=0, rejected=0,
         starved=0, rounds_total=0, bytes_moved=0.0, sim_events=0,
         flows_started=0, flows_completed=0, solver_calls=0,

@@ -1,76 +1,16 @@
-"""Unit + property tests: max-min fair sharing."""
+"""Unit + property tests: the FairShare service (one-link flow engine).
+
+The water-filling allocation itself is tested as one-link inputs to
+``compute_maxmin_flow_rates`` in ``tests/network/test_flows.py``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from repro.errors import NetworkError
 from repro.sim.core import Environment
-from repro.sim.fairshare import FairShare, maxmin_rates
-
-
-# -- maxmin_rates (pure function) --------------------------------------------
-
-
-def test_equal_weights_equal_rates():
-    rates = maxmin_rates(10.0, [1.0, 1.0])
-    assert rates == pytest.approx([5.0, 5.0])
-
-
-def test_weighted_split():
-    rates = maxmin_rates(9.0, [1.0, 2.0])
-    assert rates == pytest.approx([3.0, 6.0])
-
-
-def test_cap_redistributes():
-    rates = maxmin_rates(10.0, [1.0, 1.0], caps=[2.0, float("inf")])
-    assert rates == pytest.approx([2.0, 8.0])
-
-
-def test_all_capped_leaves_capacity_unused():
-    rates = maxmin_rates(10.0, [1.0, 1.0], caps=[1.0, 2.0])
-    assert rates == pytest.approx([1.0, 2.0])
-
-
-def test_zero_weight_rejected():
-    with pytest.raises(SimulationError):
-        maxmin_rates(10.0, [0.0, 1.0])
-
-
-def test_mismatched_caps_rejected():
-    with pytest.raises(SimulationError):
-        maxmin_rates(10.0, [1.0], caps=[1.0, 2.0])
-
-
-@given(
-    capacity=st.floats(min_value=0.1, max_value=1e6),
-    weights=st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=20),
-    cap_value=st.floats(min_value=0.01, max_value=1e6),
-)
-@settings(max_examples=200)
-def test_maxmin_invariants(capacity, weights, cap_value):
-    """Rates never exceed capacity, caps, or go negative; work-conserving."""
-    caps = [cap_value] * len(weights)
-    rates = maxmin_rates(capacity, weights, caps)
-    assert all(r >= 0 for r in rates)
-    assert all(r <= cap_value + 1e-6 * cap_value for r in rates)
-    total = sum(rates)
-    assert total <= capacity * (1 + 1e-9) + 1e-9
-    # Work conservation: either capacity is (nearly) used up, or every
-    # task is at its cap.
-    if total < capacity * (1 - 1e-6):
-        assert all(r >= cap_value * (1 - 1e-6) for r in rates)
-
-
-@given(
-    weights=st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=2, max_size=10)
-)
-@settings(max_examples=100)
-def test_maxmin_fairness_monotone(weights):
-    """Uncapped allocation is proportional to weight."""
-    rates = maxmin_rates(100.0, weights)
-    ratios = [r / w for r, w in zip(rates, weights)]
-    assert max(ratios) - min(ratios) < 1e-6 * max(ratios)
+from repro.sim.fairshare import FairShare
 
 
 # -- FairShare service ----------------------------------------------------------
@@ -110,6 +50,49 @@ def test_late_arrival_slows_first(env):
     assert results["late"] == pytest.approx(3.0)
 
 
+def test_equal_weights_equal_rates(env):
+    fs = FairShare(env, capacity=10.0)
+    a = fs.submit(10.0, weight=1.0)
+    b = fs.submit(10.0, weight=1.0)
+    assert [a.rate_Bps, b.rate_Bps] == pytest.approx([5.0, 5.0])
+
+
+def test_cap_redistributes(env):
+    fs = FairShare(env, capacity=10.0)
+    capped = fs.submit(10.0, cap=2.0)
+    free = fs.submit(10.0)
+    assert [capped.rate_Bps, free.rate_Bps] == pytest.approx([2.0, 8.0])
+    assert fs.utilization == pytest.approx(1.0)
+
+
+def test_weighted_split(env):
+    fs = FairShare(env, capacity=9.0)
+    light = fs.submit(3.0, weight=1.0)
+    heavy = fs.submit(6.0, weight=2.0)
+    assert fs.utilization == pytest.approx(1.0)
+    env.run()
+    # Rates 3 and 6: both finish at t=1.
+    assert light.finished_at == pytest.approx(1.0)
+    assert heavy.finished_at == pytest.approx(1.0)
+
+
+def test_all_capped_leaves_capacity_unused(env):
+    fs = FairShare(env, capacity=10.0)
+    a = fs.submit(2.0, cap=1.0)
+    b = fs.submit(2.0, cap=2.0)
+    assert fs.utilization == pytest.approx(0.3)
+    env.run()
+    assert a.finished_at == pytest.approx(2.0)
+    assert b.finished_at == pytest.approx(1.0)
+
+
+def test_zero_weight_rejected(env):
+    fs = FairShare(env, capacity=10.0)
+    with pytest.raises(NetworkError, match="weight"):
+        fs.submit(1.0, weight=0.0)
+    assert fs.active_tasks == 0
+
+
 def test_capped_task_leaves_room(env):
     fs = FairShare(env, capacity=10.0)
     capped = fs.submit(4.0, cap=2.0)
@@ -140,20 +123,6 @@ def test_cancel_stops_task(env):
     assert not doomed.finished
     # Survivor: 1 s at rate 1 (sharing) + 3 units at rate 2 alone.
     assert survivor.finished_at == pytest.approx(1.0 + 1.5)
-
-
-def test_set_capacity_rescales(env):
-    fs = FairShare(env, capacity=1.0)
-    task = fs.submit(4.0)
-
-    def boost(env):
-        yield env.timeout(1.0)
-        fs.set_capacity(3.0)
-
-    env.process(boost(env))
-    env.run()
-    # 1 unit in first second, remaining 3 at rate 3 → done at 2.0.
-    assert task.finished_at == pytest.approx(2.0)
 
 
 @given(
