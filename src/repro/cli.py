@@ -201,6 +201,30 @@ def _save_trace(tracer, path: Optional[str]) -> None:
         print(f"wrote {count} trace records to {path}")
 
 
+def _print_placement(final_hosts) -> None:
+    rows = [[job, " ".join(hosts)] for job, hosts in sorted(final_hosts.items())]
+    print(render_table(["job", "now on"], rows, title="final placement"))
+
+
+def _print_incidents(incidents, *keys: str) -> None:
+    """The drills' incidents table.  Its last column, titled ``keys[0]``,
+    lists the union of each incident's ``keys`` fields."""
+    rows = [
+        [
+            str(i["incident"]), str(i["class"]), str(i["status"]),
+            "-" if i["mttd_s"] is None else f"{i['mttd_s']:.2f}",
+            "-" if i["mttr_s"] is None else f"{i['mttr_s']:.2f}",
+            " ".join(sorted(set().union(*(i[k] for k in keys)))) or "-",
+        ]
+        for i in incidents
+    ]
+    if rows:
+        print(render_table(
+            ["incident", "class", "status", "MTTD [s]", "MTTR [s]", keys[0]],
+            rows, title="incidents",
+        ))
+
+
 #: ``--crash-at`` phase → ``controller.crash.*`` site suffix.  The
 #: migration phase crashes *mid-precopy* (the orphaned-stream case);
 #: other phases crash at their intent boundary.
@@ -416,8 +440,7 @@ def _cmd_fleet_crash(args: argparse.Namespace, tracer) -> int:
     print(f"  outcomes: {result.completed} completed, {result.aborted} aborted, "
           f"{result.failed} failed; {len(result.parked_vms)} VM(s) still parked")
     print(f"  makespan: {result.makespan_s:.1f} s")
-    rows = [[job, " ".join(hosts)] for job, hosts in sorted(result.final_hosts.items())]
-    print(render_table(["job", "now on"], rows, title="final placement"))
+    _print_placement(result.final_hosts)
     _save_trace(tracer, args.trace_out)
     if result.parked_vms or (result.crashed and not result.recovered):
         return 2
@@ -463,25 +486,8 @@ def _cmd_incident(args: argparse.Namespace) -> int:
           f"evacuated: {', '.join(result.evacuated_jobs) or 'none'}")
     print(f"  lost VMs:  {', '.join(result.lost_vms) or 'none'}")
     print(f"  makespan:  {result.makespan_s:.1f} s")
-    rows = [
-        [
-            str(i["incident"]), str(i["class"]), str(i["status"]),
-            "-" if i["mttd_s"] is None else f"{i['mttd_s']:.2f}",
-            "-" if i["mttr_s"] is None else f"{i['mttr_s']:.2f}",
-            " ".join(sorted(i["links"])) or "-",
-        ]
-        for i in result.incidents
-    ]
-    if rows:
-        print(render_table(
-            ["incident", "class", "status", "MTTD [s]", "MTTR [s]", "links"],
-            rows, title="incidents",
-        ))
-    print(render_table(
-        ["job", "now on"],
-        [[job, " ".join(hosts)] for job, hosts in sorted(result.final_hosts.items())],
-        title="final placement",
-    ))
+    _print_incidents(result.incidents, "links")
+    _print_placement(result.final_hosts)
     _save_trace(tracer, args.trace_out)
     return 0 if not result.lost_vms and result.failed == 0 else 1
 
@@ -576,25 +582,8 @@ def _cmd_host_failure(args: argparse.Namespace) -> int:
     print(f"  outcomes:  {result.completed} completed, {result.failed} failed, "
           f"{result.cancelled} cancelled, {result.stranded} stranded")
     print(f"  makespan:  {result.makespan_s:.1f} s")
-    rows = [
-        [
-            str(i["incident"]), str(i["class"]), str(i["status"]),
-            "-" if i["mttd_s"] is None else f"{i['mttd_s']:.2f}",
-            "-" if i["mttr_s"] is None else f"{i['mttr_s']:.2f}",
-            " ".join(sorted(set(i["hosts"]) | set(i["suspect_hosts"]))) or "-",
-        ]
-        for i in result.incidents
-    ]
-    if rows:
-        print(render_table(
-            ["incident", "class", "status", "MTTD [s]", "MTTR [s]", "hosts"],
-            rows, title="incidents",
-        ))
-    print(render_table(
-        ["job", "now on"],
-        [[job, " ".join(hosts)] for job, hosts in sorted(result.final_hosts.items())],
-        title="final placement",
-    ))
+    _print_incidents(result.incidents, "hosts", "suspect_hosts")
+    _print_placement(result.final_hosts)
     _save_trace(tracer, args.trace_out)
     return 0 if not result.lost_vms and result.failed == 0 else 1
 

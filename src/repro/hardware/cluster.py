@@ -10,6 +10,7 @@ for the migration stream itself.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, Optional
 
 from repro.errors import HardwareError
@@ -50,6 +51,12 @@ class Cluster:
         self.faults = FaultInjector(self.env)
         #: Controller-generation counter (crash-recovery fencing tokens).
         self.fencing = EpochRegistry()
+        #: Fleet request and incident ids.  Per cluster, not per
+        #: interpreter, so a run's ids do not depend on what ran before it;
+        #: a dead controller and its successor share them, so ids stay
+        #: unique across a succession (the journal folds requests by id).
+        self.request_ids = count(1)
+        self.incident_ids = count(1)
         self.nodes: Dict[str, PhysicalNode] = {}
         #: IB-cabled node names.
         self.ib_cabled: set[str] = set()

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass, field
-from itertools import count
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.incident.detectors import Alert
@@ -33,8 +32,6 @@ from repro.incident.detectors import Alert
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.cluster import Cluster
     from repro.orchestrator.executor import FleetOrchestrator
-
-_incident_ids = count(1)
 
 #: Alert kinds whose key names a link.
 LINK_ALERT_KINDS = ("outage", "bw-collapse", "latency-spike", "loss")
@@ -132,7 +129,7 @@ class IncidentCorrelator:
             self._absorb(incident, alert)
             return None
         incident = Incident(
-            incident_id=next(_incident_ids),
+            incident_id=next(self.cluster.incident_ids),
             opened_at=alert.time,
             first_anomaly_at=alert.first_anomaly_at,
             klass="",

@@ -196,6 +196,7 @@ class FleetOrchestrator:
         record = self.store.job(job_id)
         request = MigrationRequest(
             fleet_job=record,
+            request_id=next(self.cluster.request_ids),
             kind=kind,
             priority=priority,
             consolidate_to=consolidate_to,

@@ -15,11 +15,13 @@ site.  Each job arrives with a naive round-robin destination (job *i* →
 
 The function returns a :class:`FleetScenarioResult` with the makespan,
 per-wave concurrency, and deferral counts — the benchmark artifact's
-payload.
+payload.  The estate, provisioning and drain helpers here are shared by
+all four canned fleet drills (see also ``repro.incident.scenario``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
@@ -41,6 +43,8 @@ FLEET_VM_MEMORY = 4 * GiB
 SMALL_DATA_BYTES = 256 * MiB
 #: Resident data set of a "large" job's VM.
 LARGE_DATA_BYTES = 1536 * MiB
+#: Tenants the drained jobs are dealt to round-robin.
+TENANTS = 2
 
 
 @dataclass
@@ -69,6 +73,7 @@ class FleetScenarioResult:
 
 def build_fleet_cluster(
     nvms: int,
+    spares: int = 0,
     wan_gbps: float = 1.0,
     seed: int = 0,
     tracer: Optional[Tracer] = None,
@@ -78,19 +83,22 @@ def build_fleet_cluster(
     ``nvms`` IB-cabled source blades, ``ceil(nvms/2)`` Ethernet hosts in
     the primary enclosure, and ``floor(nvms/2)`` (at least one) behind
     the WAN — so a one-for-one drain *must* push half the fleet through
-    the bottleneck unless the planner re-maps destinations.
+    the bottleneck unless the planner re-maps destinations.  ``spares``
+    empty primary-site hosts (``sp01``…) give the incident drills
+    somewhere local to evacuate or restore to while the WAN is dark.
     """
     if nvms < 2:
         raise ValueError("fleet scenario needs at least 2 VMs")
     cluster = Cluster(seed=seed, tracer=tracer)
     ib_names = [f"ib{i + 1:02d}" for i in range(nvms)]
     eth_names = [f"eth{i + 1:02d}" for i in range(nvms)]
+    spare_names = [f"sp{i + 1:02d}" for i in range(spares)]
     local_eth = eth_names[: (nvms + 1) // 2]
     remote_eth = eth_names[(nvms + 1) // 2:]
-    for name in ib_names + eth_names:
+    for name in ib_names + eth_names + spare_names:
         cluster.add_node(name)
     cluster.wire_ethernet(
-        sites={"primary": ib_names + local_eth, "backup": remote_eth},
+        sites={"primary": ib_names + local_eth + spare_names, "backup": remote_eth},
         wan_bandwidth_Bps=gbps(wan_gbps),
         wan_latency_s=5e-3,
     )
@@ -132,20 +140,49 @@ def _provision_fleet(cluster, jobs: int, vms_per_job: int, tenants: int):
     return records
 
 
+def _register_all(orch: FleetOrchestrator, records) -> None:
+    for job_id, tenant, job, qemus, _ in records:
+        # rank_main lets a checkpoint restore relaunch the SPMD program.
+        orch.register_job(job_id, job, qemus, tenant=tenant, rank_main=_busy)
+
+
+def _spawn_drain(orch: FleetOrchestrator, records, start_at: float,
+                 chaos=None) -> None:
+    """Submit every job's spread drain (naive destinations) at ``start_at``.
+
+    The chaos clock starts with the drain, so ``t=`` offsets in a degrade
+    spec, or a drill's cut time, are relative to the first submission.
+    """
+    env = orch.env
+
+    def _submit_all():
+        yield env.timeout(start_at - env.now)
+        if chaos is not None:
+            chaos.start()
+        for job_id, _, _, _, dst_hosts in records:
+            orch.submit(job_id, kind="spread", dst_hosts=dst_hosts)
+
+    env.process(_submit_all(), name="fleet.submit")
+
+
+def _final_hosts(store: FleetStateStore) -> Dict[str, List[str]]:
+    """Where each registered job's VMs run now, in registration order."""
+    return {
+        job_id: [q.node.name for q in record.qemus]
+        for job_id, record in store.jobs.items()
+    }
+
+
 def run_fleet_scenario(
     jobs: int = 8,
     vms_per_job: int = 1,
     sequenced: bool = True,
     wan_gbps: float = 1.0,
-    tenants: int = 2,
-    link_budget_s: Optional[float] = 30.0,
     seed: int = 0,
     tracer: Optional[Tracer] = None,
-    orchestrator_out: Optional[list] = None,
     inject_site: Optional[str] = None,
     inject_nth: int = 1,
     inject_transient: bool = False,
-    inject_times: int = 1,
     degrade_spec: Optional[str] = None,
     degrade_link: str = "wan:*",
     postcopy: str = "off",
@@ -154,8 +191,6 @@ def run_fleet_scenario(
     """Drain ``jobs`` MPI jobs off the IB sub-cluster through the fleet
     orchestrator; return makespan + concurrency + deferral metrics.
 
-    ``orchestrator_out``, when given, receives the live
-    :class:`FleetOrchestrator` (for tests that want to poke at state).
     ``inject_site`` arms the deterministic fault injector (e.g.
     ``ninja.migration``) so fleet runs exercise the abort → blacklist →
     retry path; ``inject_transient`` makes the fault a retryable
@@ -180,14 +215,8 @@ def run_fleet_scenario(
             if inject_transient
             else None  # default FaultInjectionError → abort + rollback
         )
-        cluster.faults.arm(
-            inject_site, error=error, nth=inject_nth, times=inject_times
-        )
-    config = (
-        FleetConfig(link_budget_s=link_budget_s)
-        if sequenced
-        else FleetConfig.naive()
-    )
+        cluster.faults.arm(inject_site, error=error, nth=inject_nth)
+    config = FleetConfig() if sequenced else FleetConfig.naive()
     if viability_floor_Bps is not None:
         config.viability_floor_Bps = viability_floor_Bps
     orch = FleetOrchestrator(cluster, config=config)
@@ -198,45 +227,15 @@ def run_fleet_scenario(
         if degrade_spec
         else None
     )
-    if orchestrator_out is not None:
-        orchestrator_out.append(orch)
-
-    records = _provision_fleet(cluster, jobs, vms_per_job, tenants)
-    for job_id, tenant, job, qemus, _ in records:
-        orch.register_job(job_id, job, qemus, tenant=tenant)
+    records = _provision_fleet(cluster, jobs, vms_per_job, TENANTS)
+    _register_all(orch, records)
 
     start_at = env.now + 1.0
-    requests = []
-
-    def _submit_all():
-        yield env.timeout(start_at - env.now)
-        # Chaos clock starts with the drain, so ``t=`` offsets in the
-        # spec are relative to the first submission.
-        if chaos is not None:
-            chaos.start()
-        for job_id, _, _, _, dst_hosts in records:
-            requests.append(orch.submit(job_id, kind="spread", dst_hosts=dst_hosts))
-
-    env.process(_submit_all(), name="fleet.submit")
+    _spawn_drain(orch, records, start_at, chaos=chaos)
     env.run(until=start_at + 0.001)  # requests now queued; loop running
     env.run(until=orch.all_settled())
 
-    outcomes = [
-        {
-            "request": r.request_id,
-            "job": r.job_id,
-            "status": r.status,
-            "attempts": r.attempts,
-            "duration_s": (
-                round(r.finished_at - r.submitted_at, 3)
-                if r.finished_at is not None
-                else None
-            ),
-            "error": r.error,
-        }
-        for r in requests
-    ]
-    statuses = [r.status for r in requests]
+    statuses = Counter(r.status for r in orch.requests)
     return FleetScenarioResult(
         sequenced=sequenced,
         jobs=jobs,
@@ -246,14 +245,25 @@ def run_fleet_scenario(
         deferred=dict(orch.admission.stats.deferred),
         deferred_total=orch.admission.stats.deferred_total,
         destination_swaps=orch.swaps_applied,
-        completed=statuses.count("completed"),
-        aborted=statuses.count("aborted"),
-        failed=statuses.count("failed"),
-        outcomes=outcomes,
-        final_hosts={
-            job_id: [q.node.name for q in qemus]
-            for job_id, _, _, qemus, _ in records
-        },
+        completed=statuses["completed"],
+        aborted=statuses["aborted"],
+        failed=statuses["failed"],
+        outcomes=[
+            {
+                "request": r.request_id,
+                "job": r.job_id,
+                "status": r.status,
+                "attempts": r.attempts,
+                "duration_s": (
+                    round(r.finished_at - r.submitted_at, 3)
+                    if r.finished_at is not None
+                    else None
+                ),
+                "error": r.error,
+            }
+            for r in orch.requests
+        ],
+        final_hosts=_final_hosts(orch.store),
     )
 
 
@@ -291,8 +301,6 @@ def run_fleet_crash_scenario(
     crash_at_time: float = 5.0,
     recover: bool = True,
     wan_gbps: float = 1.0,
-    tenants: int = 2,
-    link_budget_s: Optional[float] = 30.0,
     seed: int = 0,
     tracer: Optional[Tracer] = None,
 ) -> FleetCrashResult:
@@ -312,26 +320,13 @@ def run_fleet_crash_scenario(
     nvms = jobs * vms_per_job
     cluster = build_fleet_cluster(nvms, wan_gbps=wan_gbps, seed=seed, tracer=tracer)
     env = cluster.env
-    config = (
-        FleetConfig(link_budget_s=link_budget_s)
-        if link_budget_s is not None
-        else FleetConfig.naive()
-    )
-    orch = FleetOrchestrator(cluster, config=config)
-    records = _provision_fleet(cluster, jobs, vms_per_job, tenants)
-    for job_id, tenant, job, qemus, _ in records:
-        orch.register_job(job_id, job, qemus, tenant=tenant)
+    orch = FleetOrchestrator(cluster)
+    records = _provision_fleet(cluster, jobs, vms_per_job, TENANTS)
+    _register_all(orch, records)
 
     start_at = env.now + 1.0
     cluster.faults.arm("controller.crash.*", at_time=start_at + crash_at_time)
-    requests = []
-
-    def _submit_all():
-        yield env.timeout(start_at - env.now)
-        for job_id, _, _, _, dst_hosts in records:
-            requests.append(orch.submit(job_id, kind="spread", dst_hosts=dst_hosts))
-
-    env.process(_submit_all(), name="fleet.submit")
+    _spawn_drain(orch, records, start_at)
     env.run(until=start_at + 0.001)
     env.run(until=env.any_of([orch.crash_event, orch.all_settled()]))
 
@@ -343,82 +338,68 @@ def run_fleet_crash_scenario(
         crash_time=round(env.now - start_at, 3) if orch.crashed else None,
         crash_error=orch.crash_error,
     )
+    # Unless the drain finished before the deadline, or the operator
+    # asked to see the wreckage, recovery and a successor take over.
+    requests = orch.requests
+    if orch.crashed and recover:
+        # Let the zombie sequences die at their next boundary before
+        # reconciling, then hand the journal to recovery with a *fresh*
+        # state store (the dead orchestrator's reservations died with it).
+        env.run(until=orch.crash_drained())
+        store = FleetStateStore(cluster)
+        manager = RecoveryManager(cluster, orch.journal, store=store)
+        box: List[object] = []
 
-    all_qemus = [q for _, _, _, qemus, _ in records for q in qemus]
+        def _recover():
+            report = yield from manager.recover(reason=f"crash at t+{crash_at_time}s")
+            box.append(report)
 
-    def _parked() -> List[str]:
-        return sorted(q.vm.name for q in all_qemus if q.vm.hypercall.parked)
-
-    def _finalise(count_requests=None) -> FleetCrashResult:
-        statuses = [
-            r.status for r in (requests if count_requests is None else count_requests)
+        done = env.process(_recover(), name="recovery")
+        env.run(until=done)
+        report = box[0]
+        result.recovered = report.clean
+        result.recovery_epoch = report.epoch
+        result.reseeded = report.reseeded
+        result.decisions = [
+            {
+                "mid": d.mid,
+                "decision": d.decision,
+                "phase_reached": d.phase_reached,
+                "basis": d.basis,
+                "actions": d.actions,
+                "parked_after": d.parked_after,
+                "error": d.error,
+            }
+            for d in report.decisions
         ]
-        result.completed = statuses.count("completed")
-        result.aborted = statuses.count("aborted")
-        result.failed = statuses.count("failed")
-        result.parked_vms = _parked()
-        result.makespan_s = round(env.now - start_at, 3)
-        result.final_hosts = {
-            job_id: [q.node.name for q in qemus]
-            for job_id, _, _, qemus, _ in records
-        }
-        return result
 
-    if not orch.crashed or not recover:
-        # Either the drain finished before the deadline, or the operator
-        # asked to see the wreckage: report the world as-is.
-        return _finalise()
-
-    # Let the zombie sequences die at their next boundary before
-    # reconciling, then hand the journal to recovery with a *fresh*
-    # state store (the dead orchestrator's reservations died with it).
-    env.run(until=orch.crash_drained())
-    store = FleetStateStore(cluster)
-    manager = RecoveryManager(cluster, orch.journal, store=store)
-    box: List[object] = []
-
-    def _recover():
-        report = yield from manager.recover(reason=f"crash at t+{crash_at_time}s")
-        box.append(report)
-
-    done = env.process(_recover(), name="recovery")
-    env.run(until=done)
-    report = box[0]
-    result.recovered = report.clean
-    result.recovery_epoch = report.epoch
-    result.reseeded = report.reseeded
-    result.decisions = [
-        {
-            "mid": d.mid,
-            "decision": d.decision,
-            "phase_reached": d.phase_reached,
-            "basis": d.basis,
-            "actions": d.actions,
-            "parked_after": d.parked_after,
-            "error": d.error,
-        }
-        for d in report.decisions
-    ]
-
-    # Successor orchestrator: same journal, the recovery-seeded store.
-    orch2 = FleetOrchestrator(cluster, config=config, state=store, journal=orch.journal)
-    for job_id, tenant, job, qemus, _ in records:
-        orch2.register_job(job_id, job, qemus, tenant=tenant)
-    resumed = []
-    for spec in report.resubmit:
-        resumed.append(
+        # Successor orchestrator: same journal, the recovery-seeded store.
+        orch2 = FleetOrchestrator(cluster, config=orch.config, state=store, journal=orch.journal)
+        _register_all(orch2, records)
+        for spec in report.resubmit:
             orch2.submit(
                 str(spec["job"]),
                 kind=str(spec.get("kind", "fallback")),
                 priority=int(spec.get("priority", 0) or 0),
                 dst_hosts=spec.get("dst_hosts"),  # type: ignore[arg-type]
             )
-        )
-    result.resubmitted = len(resumed)
-    if resumed:
-        env.run(until=orch2.all_settled())
+        result.resubmitted = len(orch2.requests)
+        if orch2.requests:
+            env.run(until=orch2.all_settled())
+        # Requests the dead orchestrator never finished are superseded by
+        # the resubmissions; count outcomes over what actually terminated.
+        requests = [*(r for r in orch.requests if r.terminal), *orch2.requests]
 
-    # Requests the dead orchestrator never finished are superseded by
-    # the resubmissions; count outcomes over what actually terminated.
-    finished = [r for r in requests if r.terminal]
-    return _finalise(count_requests=[*finished, *resumed])
+    statuses = Counter(r.status for r in requests)
+    result.completed = statuses["completed"]
+    result.aborted = statuses["aborted"]
+    result.failed = statuses["failed"]
+    result.parked_vms = sorted(
+        q.vm.name
+        for _, _, _, qemus, _ in records
+        for q in qemus
+        if q.vm.hypercall.parked
+    )
+    result.makespan_s = round(env.now - start_at, 3)
+    result.final_hosts = _final_hosts(orch.store)
+    return result

@@ -5,16 +5,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.incident.scenario import build_incident_cluster
 from repro.orchestrator.executor import FleetOrchestrator
-from repro.orchestrator.scenario import _busy, _provision_fleet
+from repro.orchestrator.scenario import _busy, _provision_fleet, build_fleet_cluster
 from repro.recovery.checkpoints import FleetCheckpointService
 from repro.storage.nfs import NfsServer
 from repro.units import gbps
 
 
 def _mini_fleet(jobs=2, period_s=10.0, keep_generations=2):
-    cluster = build_incident_cluster(jobs, spares=1)
+    cluster = build_fleet_cluster(jobs, spares=1)
     env = cluster.env
     orch = FleetOrchestrator(cluster)
     nfs = NfsServer(env, bandwidth_Bps=gbps(40.0) * 0.7)
