@@ -7,8 +7,13 @@ pushing the four *large* jobs through the WAN; the sequenced planner
 destination-swaps them onto local hosts and serialises what still
 collides.  The sequenced makespan must beat the naive one.
 
+A third arm kills the controller 5 s into the drain and lets crash
+recovery replay the journal: every orphaned sequence is rolled forward
+or back and a successor orchestrator finishes the drain.
+
 Writes ``BENCH_fleet.json`` (repo root) with the makespan, per-wave
-concurrency, and deferred-request counts of both modes.
+concurrency, and deferred-request counts of both modes, plus the crash
+arm's recovery decisions and final placement.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.orchestrator.scenario import run_fleet_scenario
+from repro.orchestrator.scenario import run_fleet_crash_scenario, run_fleet_scenario
 
 from benchmarks.conftest import run_once
 
@@ -44,11 +49,17 @@ def test_sequenced_beats_naive_makespan(benchmark, record_result):
     assert sequenced.destination_swaps > 0
     assert sequenced.deferred_total > 0  # backpressure engaged, nothing dropped
 
+    # Crash recovery reconciles every orphan and leaks no parked guest.
+    crash = run_fleet_crash_scenario()
+    assert crash.crashed and crash.recovered
+    assert crash.decisions and not crash.parked_vms
+
     payload = {
         "scenario": "drain 8 jobs, half large, backup site behind 1 Gbit WAN",
         "sequenced": sequenced.to_dict(),
         "naive": naive.to_dict(),
         "speedup": round(naive.makespan_s / sequenced.makespan_s, 3),
+        "crash_recovery": crash.to_dict(),
     }
     ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
 
