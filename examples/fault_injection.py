@@ -3,13 +3,22 @@
 
 Three scenarios on one 2+2 cluster pattern (fresh cluster each):
 
-1. a **fatal** fault in the attach phase — the sequence aborts, the
-   compensation stack rolls the world back (VMs return home, origin HCAs
+1. a **fatal** fault in the attach phase of a self-migration — the
+   sequence aborts and rolls back from its journal (origin HCAs
    re-attach, guests resume), and the job recovers to openib;
 2. a **transient** QMP failure during migration — absorbed by bounded
    retry with exponential backoff, sequence completes;
 3. a **hung** detach phase — the per-phase timeout interrupts it and the
    rollback restores the original placement.
+
+The ``rollback:`` line lists only the undo steps that acted, one
+``resume-guests`` per SymVirt round handed back::
+
+    --- fatal fault in attach: abort + rollback
+      rollback: reattach-origin -> resume-guests
+    ...
+    --- hung detach: per-phase timeout + rollback
+      rollback: resume-guests -> resume-guests
 
 Run:  python examples/fault_injection.py
 """

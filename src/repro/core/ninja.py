@@ -23,21 +23,28 @@ of Figures 6–8 and the columns of Table II.
 Failure semantics
 -----------------
 
-The sequence is a *transaction* over guest-visible state.  Before each
-risky phase the orchestrator pushes a compensation onto an undo stack;
-a mid-phase failure (``SymVirtError``/``MigrationError``/``NetworkError``
-/``QmpError``/:class:`~repro.errors.PhaseTimeoutError`) triggers
-**rollback** — the stack unwinds in LIFO order:
+The sequence is a *transaction* over guest-visible state.  A mid-phase
+failure (``SymVirtError``/``MigrationError``/``NetworkError``/``QmpError``
+/:class:`~repro.errors.PhaseTimeoutError`) triggers **rollback**, driven
+by the sequence's own journal snapshot through the same undo steps crash
+recovery runs (:func:`~repro.recovery.recovery.roll_back`): once in-flight
+streams and hotplug primitives have settled and interrupted ejects are
+finished (``finish-eject:<vm>``), the steps run in reverse phase order:
 
 ``detach-stray``
     eject HCAs this sequence attached on VMs away from their origin;
 ``migrate-back``
-    precopy every relocated VM back to its origin host;
+    precopy every relocated VM back to its origin host (VMs past a
+    postcopy switchover stay on the destination);
 ``reattach-origin``
     re-attach the original HCA on every VM that started with one;
 ``resume-guests``
-    release whichever of the two SymVirt wait rounds are still owed so
+    release the SymVirt wait rounds still owed, one report per round, so
     every coordinator returns and the job keeps running.
+
+:attr:`NinjaResult.rollback_actions` lists only the steps that acted: an
+abort in ``attach`` of a fallback plan, which never re-attaches an HCA,
+reports ``migrate-back -> reattach-origin -> resume-guests``.
 
 Transient errors (QMP RTT loss, migration-socket resets — anything in
 ``TRANSIENT_ERRORS`` except :class:`~repro.errors.MigrationBlockedError`)
@@ -48,8 +55,9 @@ attempts are exhausted or a non-transient error fires.
 The **commit point** is the second ``signal`` (guests resumed on their
 destinations).  A link-up failure after that cannot be rolled back
 without re-parking the job, so the sequence *degrades* instead: HCAs
-whose port never trained are ejected so the guests fall back to the
-Ethernet path, and the result reports ``status="aborted"`` with
+whose port never trained are ejected (``detach-dead-hca``,
+:func:`~repro.recovery.recovery.shed_dead_hcas`) so the guests fall back
+to the Ethernet path, and the result reports ``status="aborted"`` with
 ``committed=True``.
 
 Faults for testing are injected through the cluster-wide
@@ -62,9 +70,10 @@ Crash semantics
 
 Every sequence writes a **write-ahead journal**
 (:class:`~repro.recovery.journal.MigrationJournal`): an ``intent`` record
-before each phase, a ``commit`` record after it, compensation-stack and
-terminal records in between.  ``controller.crash.<point>`` fault sites sit
-at each boundary *before* the corresponding record is written — an armed
+before each phase, a ``commit`` record after it, ``signal``,
+``rollback-action`` and terminal records in between.
+``controller.crash.<point>`` fault sites sit at each boundary *before*
+the corresponding record is written — an armed
 crash raises :class:`~repro.errors.ControllerCrashError` (deliberately
 not a ``ReproError``, so neither retry nor rollback runs: a dead
 controller does nothing) and sets :attr:`NinjaMigration.crashed`, which
@@ -94,8 +103,8 @@ from repro.errors import (
     ReproError,
     SymVirtError,
 )
-from repro.network.fabric import PortState
 from repro.recovery.journal import MigrationJournal
+from repro.recovery.recovery import finish_partial_ejects, roll_back, settle, shed_dead_hcas
 from repro.symvirt.controller import Controller
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -139,7 +148,7 @@ class NinjaResult:
     error: str = ""
     #: Per-phase retry counts (phases absent from the dict never retried).
     retries: Dict[str, int] = field(default_factory=dict)
-    #: Compensation/degrade actions executed, in execution order.
+    #: Undo (or degrade) steps that acted, in execution order.
     rollback_actions: List[str] = field(default_factory=list)
     #: True once the guests were resumed at their destinations — an abort
     #: after this point degraded (VMs stay put, dead HCAs ejected) rather
@@ -195,12 +204,6 @@ class NinjaMigration:
         #: Set once a ``controller.crash.*`` fault fires; every sibling
         #: sequence of this controller dies at its next phase boundary.
         self.crashed = False
-        #: Poll interval while waiting for in-flight work to settle.
-        self.settle_poll_s = 0.05
-        #: Upper bound on settling before rollback gives up (a migration
-        #: stream that never resolves is indistinguishable from a crashed
-        #: QEMU; surfacing MigrationAbortedError beats deadlocking).
-        self.settle_timeout_s = 3600.0
         #: Completed sequences (most recent last).
         self.history: list[NinjaResult] = []
 
@@ -233,30 +236,6 @@ class NinjaMigration:
             raise ControllerCrashError(
                 f"controller crashed at {point} ({label}): {err}"
             ) from err
-
-    def _settle(self, qemus):
-        """Wait until no controlled VM has an in-flight migration or
-        hotplug primitive (generator).
-
-        A failed parallel phase fails *fast* — sibling operations are
-        still running when the barrier collapses.  Retrying or rolling
-        back before they land would race their state transitions.
-        """
-        deadline = self.env.now + self.settle_timeout_s
-
-        def busy() -> bool:
-            for qemu in qemus:
-                if qemu.hotplug.active_ops:
-                    return True
-                job = qemu.current_migration
-                if job is not None and job.stats.in_flight:
-                    return True
-            return False
-
-        while busy():
-            if self.env.now >= deadline:
-                raise PhaseTimeoutError("settle", self.settle_timeout_s)
-            yield self.env.timeout(self.settle_poll_s)
 
     def _with_timeout(self, phase: str, body):
         """Drive ``body`` (a generator), bounded by the phase's budget."""
@@ -301,14 +280,10 @@ class NinjaMigration:
         retries: Dict[str, int] = {}
         #: Phase currently executing (for abort attribution).
         current_phase: List[Optional[str]] = [None]
-        #: SymVirt rounds already released via ``signal`` (of the two owed).
-        rounds_released = [0]
-        #: VMs that crossed the postcopy switchover — per-VM points of no
-        #: return (their only runnable image is on the destination).
+        #: VMs whose postcopy switchover is already journalled.
         postcopy_switched: set[str] = set()
-        #: LIFO compensation stack: (action name, generator factory).
-        compensations: List[tuple] = []
-        rollback_actions: List[str] = []
+        #: Undo (or degrade) steps that acted, reported in the result.
+        actions: List[str] = []
         committed = False
 
         # What the world looked like before the transaction started.
@@ -408,117 +383,24 @@ class NinjaMigration:
             yield from faults.perturb("ninja.confirm")
             yield ctl._parallel(agent.qemu.hotplug.confirm() for agent in ctl.agents)
 
-        # -- compensations (run in reverse push order on rollback) ----------------
-
-        def finish_partial_ejects() -> None:
-            """Complete hotplug primitives that were interrupted mid-flight.
-
-            A seated function with no guest driver is the signature of an
-            interrupted attach (driver never probed) or detach (driver
-            unbound, eject unfinished); either way the safe terminal state
-            is "ejected".
-            """
-            for agent in ctl.agents:
-                assignment = agent.qemu.assignments.get(tag)
-                kernel = agent.qemu.vm.kernel
-                if (
-                    assignment is not None
-                    and assignment.attached
-                    and kernel is not None
-                    and not kernel.has_driver(assignment.function)
-                ):
-                    assignment.unseat()
-                    self.cluster.trace(
-                        "ninja", "rollback_finish_eject", vm=agent.qemu.vm.name, tag=tag
-                    )
-
-        def detach_stray():
-            """Eject HCAs this sequence attached on VMs away from home."""
-            stray = [
-                agent
-                for agent in ctl.agents
-                if agent.has_attached(tag)
-                and agent.qemu.node.name != origin[agent.qemu.vm.name]
-            ]
-            if stray:
-                yield ctl._parallel(agent.device_detach(tag) for agent in stray)
-
-        def migrate_back():
-            """Return every relocated VM to its origin host.
-
-            VMs that crossed the postcopy switchover stay put: their
-            journalled per-VM commit point makes the move irreversible,
-            so rollback leaves them on the destination.
-            """
-            back = {
-                agent.qemu.vm.name: origin[agent.qemu.vm.name]
-                for agent in ctl.agents
-                if agent.qemu.node.name != origin[agent.qemu.vm.name]
-                and agent.qemu.vm.name not in postcopy_switched
-            }
-            if back:
-                yield from ctl.migration(
-                    plan.dst_hostlist, plan.src_hostlist, mapping=back
-                )
-
-        def reattach_origin():
-            """Re-attach the original HCA on every VM that started with one."""
-            pending = [
-                agent
-                for agent in ctl.agents
-                if had_attached[agent.qemu.vm.name] and not agent.has_attached(tag)
-            ]
-            if pending:
-                yield ctl._parallel(
-                    agent.device_attach(host="", tag=tag) for agent in pending
-                )
-
-        def resume_guests():
-            """Release whichever of the two wait rounds are still owed."""
-            yield from ctl.release(2 - rounds_released[0])
-            rounds_released[0] = 2
-
-        def rollback(cause: BaseException):
+        def undo(cause: BaseException):
+            """Roll back from the journal (or, past the commit point, keep
+            the move and shed dead HCAs)."""
             self.cluster.trace(
                 "ninja",
-                "rollback_begin",
+                "degrade_begin" if committed else "rollback_begin",
                 label=plan.label,
                 phase=current_phase[0],
                 error=str(cause),
             )
             timeline.begin("rollback", env.now)
             try:
-                yield from self._settle(plan.qemus)
-                finish_partial_ejects()
-                while compensations:
-                    name, factory = compensations.pop()
-                    rollback_actions.append(name)
-                    journal.append("rollback-action", mid=mid, action=name)
-                    self.cluster.trace("ninja", "rollback_action", action=name)
-                    yield from factory()
-            finally:
-                timeline.end("rollback", env.now)
-
-        def degrade(cause: BaseException):
-            """Past the commit point: keep the move, shed dead devices."""
-            self.cluster.trace(
-                "ninja", "degrade_begin", label=plan.label, error=str(cause)
-            )
-            timeline.begin("rollback", env.now)
-            try:
-                yield from self._settle(plan.qemus)
-                finish_partial_ejects()
-                dead = []
-                for agent in ctl.agents:
-                    if not agent.has_attached(tag):
-                        continue
-                    port = agent.qemu.assignments[tag].function.port
-                    if port is None or port.state is not PortState.ACTIVE:
-                        dead.append(agent)
-                if dead:
-                    rollback_actions.append("detach-dead-hca")
-                    journal.append("rollback-action", mid=mid, action="detach-dead-hca")
-                    yield ctl._parallel(agent.device_detach(tag) for agent in dead)
+                yield from settle(env, plan.qemus)
+                finish_partial_ejects(self.cluster, plan.qemus, tag, actions)
+                if committed:
+                    yield from shed_dead_hcas(ctl, tag, journal, mid, actions)
+                else:
+                    yield from roll_back(ctl, journal.snapshot(mid), journal, actions)
             finally:
                 timeline.end("rollback", env.now)
 
@@ -549,7 +431,7 @@ class NinjaMigration:
                             error=str(err),
                         )
                         yield env.timeout(delay)
-                        yield from self._settle(plan.qemus)
+                        yield from settle(env, plan.qemus)
                         attempt += 1
                     else:
                         return
@@ -566,8 +448,6 @@ class NinjaMigration:
                     job.request_checkpoint()
 
                 # -- 1. coordination: quiesce + park (round A) -----------
-                compensations.append(("resume-guests", resume_guests))
-                journal.append("compensation", mid=mid, action="resume-guests")
                 self._guard(plan.label, "coordination.intent")
                 journal.append("intent", mid=mid, phase="coordination")
                 yield from run_phase("coordination", coordination_body)
@@ -575,8 +455,6 @@ class NinjaMigration:
                 journal.append("commit", mid=mid, phase="coordination")
 
                 # -- 2. detach -------------------------------------------
-                compensations.append(("reattach-origin", reattach_origin))
-                journal.append("compensation", mid=mid, action="reattach-origin")
                 self._guard(plan.label, "detach.intent")
                 journal.append("intent", mid=mid, phase="detach")
                 yield from run_phase("detach", detach_body)
@@ -586,14 +464,11 @@ class NinjaMigration:
                 # -- 3. round A → round B --------------------------------
                 self._guard(plan.label, "signal.intent")
                 yield from ctl.signal()
-                rounds_released[0] += 1
                 journal.append("signal", mid=mid, round=1)
                 self._guard(plan.label, "signal.commit")
                 yield from ctl.wait_all()
 
                 # -- 4. migration ----------------------------------------
-                compensations.append(("migrate-back", migrate_back))
-                journal.append("compensation", mid=mid, action="migrate-back")
                 self._guard(plan.label, "migration.intent")
                 journal.append("intent", mid=mid, phase="migration")
                 yield from run_phase("migration", migration_body)
@@ -601,8 +476,6 @@ class NinjaMigration:
                 journal.append("commit", mid=mid, phase="migration")
 
                 # -- 5. attach + confirm ---------------------------------
-                compensations.append(("detach-stray", detach_stray))
-                journal.append("compensation", mid=mid, action="detach-stray")
                 self._guard(plan.label, "attach.intent")
                 journal.append("intent", mid=mid, phase="attach")
                 yield from run_phase("attach", attach_body)
@@ -629,9 +502,7 @@ class NinjaMigration:
                 self._guard(plan.label, "resume.intent")
                 journal.append("intent", mid=mid, phase="resume")
                 yield from ctl.signal()
-                rounds_released[0] += 1
                 committed = True
-                compensations.clear()
                 journal.append("commit-point", mid=mid)
                 self._guard(plan.label, "commit-point.commit")
 
@@ -648,7 +519,7 @@ class NinjaMigration:
 
                 yield from ctl.quit()
             except ReproError as err:
-                if current_phase[0] is None and not compensations:
+                if current_phase[0] is None:
                     # Failed before the transaction opened (trigger path).
                     journal.append("aborted", mid=mid, phase="trigger", error=str(err))
                     raise
@@ -662,10 +533,7 @@ class NinjaMigration:
                     kind=type(err).__name__,
                 )
                 try:
-                    if committed:
-                        yield from degrade(err)
-                    else:
-                        yield from rollback(err)
+                    yield from undo(err)
                 except ReproError as rollback_err:
                     # A failed rollback is not a settled outcome: VMs may
                     # be split across hosts or still parked.  The flag
@@ -696,7 +564,7 @@ class NinjaMigration:
                     failed_phase=failed_phase,
                     error=str(err),
                     retries=dict(retries),
-                    rollback_actions=list(rollback_actions),
+                    rollback_actions=list(actions),
                     committed=committed,
                     migration_id=mid,
                 )
@@ -708,7 +576,7 @@ class NinjaMigration:
                     phase=failed_phase,
                     error=str(err),
                     committed=committed,
-                    rollback=",".join(rollback_actions),
+                    rollback=",".join(actions),
                     retries=sum(retries.values()),
                     wallclock=round(result.total_s, 3),
                 )

@@ -149,7 +149,7 @@ class ControllerCrashError(Exception):
 
     Deliberately *not* a :class:`ReproError`: a crash is the one failure
     the transactional orchestrator must NOT handle — a dead controller
-    runs no compensation, writes no journal records, and leaves the
+    runs no rollback, writes no journal records, and leaves the
     cluster exactly as it was at the moment of death.  Only the
     crash-recovery subsystem (:mod:`repro.recovery`) may observe it.
     """

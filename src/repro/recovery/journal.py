@@ -5,7 +5,8 @@ job is parked and half-detached, nothing in the cluster remembers what
 was in flight.  The journal fixes that: :class:`~repro.core.ninja.NinjaMigration`
 and the fleet executor append a :class:`JournalRecord` *before* each
 state-changing step (``intent``) and after it lands (``commit``), plus
-records for the compensation stack, reservations, and terminal outcomes.
+records for delivered SymVirt rounds, undo steps, reservations, and
+terminal outcomes.
 After a crash, :class:`~repro.recovery.recovery.RecoveryManager` folds the
 surviving records into per-migration :class:`MigrationSnapshot` objects
 and decides roll-forward or roll-back per sequence.
@@ -30,10 +31,11 @@ Record kinds
     sequence-level one: the origin no longer holds a runnable image, so
     recovery rolls these VMs forward and rollback never migrates them
     back.
-``compensation``
-    An undo action was pushed onto the compensation stack (``action``).
 ``rollback-action``
-    An undo (or degrade) action executed.
+    An undo (or degrade) step acted (``action``); written after it landed.
+    Journals written before the undo steps were shared also hold
+    ``compensation`` records (an undo pushed onto the old compensation
+    stack); the fold ignores them.
 ``complete`` / ``aborted`` / ``recovered``
     Terminal outcomes; a sequence with none of these is *unfinished*
     and becomes recovery work after a crash.
@@ -68,7 +70,8 @@ Persistence is JSON Lines: one record per line, appended with an
 explicit flush so a crash loses at most the record being written —
 matching the append-only discipline of real write-ahead logs.  The
 in-memory record list is authoritative for same-process recovery;
-:meth:`MigrationJournal.load` rebuilds a journal from disk.
+:meth:`MigrationJournal.load` rebuilds a journal from disk, dropping a
+torn final line (the record being written when the writer died).
 """
 
 from __future__ import annotations
@@ -160,8 +163,6 @@ class MigrationSnapshot:
     committed: bool = False
     #: VMs with a journalled postcopy switchover (per-VM commit points).
     postcopy_vms: List[str] = field(default_factory=list)
-    #: Compensation-stack actions, in push order.
-    compensations: List[str] = field(default_factory=list)
     rollback_actions: List[str] = field(default_factory=list)
     #: ``complete`` / ``aborted`` / ``recovered`` / None while in flight.
     terminal: Optional[str] = None
@@ -203,8 +204,6 @@ class MigrationSnapshot:
             for vm in record.payload.get("vms", []):
                 if vm not in self.postcopy_vms:
                     self.postcopy_vms.append(str(vm))
-        elif kind == "compensation":
-            self.compensations.append(str(record.payload.get("action", "")))
         elif kind == "rollback-action":
             self.rollback_actions.append(str(record.payload.get("action", "")))
         elif kind in TERMINAL_KINDS:
@@ -456,12 +455,22 @@ class MigrationJournal:
 
     @classmethod
     def loads(cls, text: str, env: Optional["Environment"] = None) -> "MigrationJournal":
+        """Rebuild a journal from JSON Lines.
+
+        An unparseable *final* line is the record the writer was in the
+        middle of when it died and is skipped; a corrupt line anywhere
+        else is real damage and raises :class:`json.JSONDecodeError`.
+        """
         journal = cls(env=env)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            record = JournalRecord.from_dict(json.loads(line))
+        lines = [line.strip() for line in text.splitlines() if line.strip()]
+        for index, line in enumerate(lines):
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError:
+                if index == len(lines) - 1:
+                    break
+                raise
+            record = JournalRecord.from_dict(data)
             journal.records.append(record)
             journal._seq = max(journal._seq, record.seq + 1)
             if record.kind == "begin" and "@" in record.mid:

@@ -31,6 +31,12 @@ Every action recovery takes is itself journalled (``recovery-begin`` /
 ``recovery-decision`` / ``rollback-action`` / ``recovered`` /
 ``recovery-complete``) — recovery of a crashed recovery replays cleanly
 because the fold is idempotent.
+
+The undo steps themselves — :func:`settle`, :func:`finish_partial_ejects`,
+:func:`roll_back` and :func:`shed_dead_hcas` — are module-level and
+shared: :meth:`~repro.core.ninja.NinjaMigration.execute` runs the same
+ones on a live abort, fed from ``journal.snapshot(mid)`` of its own
+sequence, so the live rollback and crash recovery cannot drift apart.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.errors import FleetError, ReproError
+from repro.errors import FleetError, PhaseTimeoutError, ReproError
 from repro.network.fabric import PortState
 from repro.recovery.journal import MigrationJournal, MigrationSnapshot
 from repro.symvirt.controller import Controller
@@ -46,7 +52,197 @@ from repro.symvirt.controller import Controller
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.cluster import Cluster
     from repro.orchestrator.state import FleetStateStore
+    from repro.sim.core import Environment
     from repro.vmm.qemu import QemuProcess
+
+#: Poll interval while waiting for in-flight work to settle.
+SETTLE_POLL_S = 0.05
+#: Upper bound on settling: a migration stream that never resolves is
+#: indistinguishable from a crashed QEMU, and an error beats a deadlock.
+SETTLE_TIMEOUT_S = 3600.0
+#: Bound on waiting for coordinators to (re)park during a roll-back.  A
+#: crash before the checkpoint request means nobody will ever park — the
+#: roll-back must not deadlock on a round that is not owed.
+PARK_TIMEOUT_S = 120.0
+#: Bound on recovery's wait for destination HCA ports to link-train.
+LINKUP_TIMEOUT_S = 120.0
+#: Quiet polls crash recovery demands before reconciling: a command the
+#: dead controller issued just before dying is still on the wire for one
+#: QMP round trip and only then shows up as in flight.
+RECOVERY_QUIET_POLLS = 3
+
+
+# -- the undo steps (shared by the live rollback and crash recovery) -----------
+
+
+def settle(env: "Environment", qemus, quiet_polls: int = 0):
+    """Wait until no VM in ``qemus`` has an in-flight migration stream or
+    hotplug primitive (generator).
+
+    Both are simulation processes of their own: they run on after a
+    parallel phase fails fast, and after the controller that started them
+    dies.  Undoing before they land would race their state transitions.
+    Returns once ``quiet_polls + 1`` consecutive polls, ``SETTLE_POLL_S``
+    apart, find nothing in flight.
+    """
+    deadline = env.now + SETTLE_TIMEOUT_S
+    quiet = 0
+    while True:
+        busy = any(
+            qemu.hotplug.active_ops
+            or (qemu.current_migration is not None
+                and qemu.current_migration.stats.in_flight)
+            for qemu in qemus
+        )
+        quiet = 0 if busy else quiet + 1
+        if quiet > quiet_polls:
+            return
+        if env.now >= deadline:
+            raise PhaseTimeoutError("settle", SETTLE_TIMEOUT_S)
+        yield env.timeout(SETTLE_POLL_S)
+
+
+def finish_partial_ejects(cluster: "Cluster", qemus, tag: str, actions: List[str]) -> None:
+    """Complete hotplug primitives that were interrupted mid-flight.
+
+    A seated function with no guest driver is the signature of an
+    interrupted attach (driver never probed) or detach (driver unbound,
+    eject unfinished); either way the safe terminal state is "ejected".
+    """
+    for qemu in qemus:
+        assignment = qemu.assignments.get(tag)
+        kernel = qemu.vm.kernel
+        if (
+            assignment is not None
+            and assignment.attached
+            and kernel is not None
+            and not kernel.has_driver(assignment.function)
+        ):
+            assignment.unseat()
+            actions.append(f"finish-eject:{qemu.vm.name}")
+            cluster.trace("recovery", "finish_eject", vm=qemu.vm.name, tag=tag)
+
+
+def _acted(journal: MigrationJournal, mid: str, actions: List[str], action: str) -> None:
+    """Report one undo step that acted (journalled after it landed: the
+    journal may lag the world, never lead it)."""
+    actions.append(action)
+    journal.append("rollback-action", mid=mid, action=action)
+
+
+def _bounded(env: "Environment", events, timeout_s: float):
+    """Wait for all ``events`` or the timeout; returns True if they all
+    fired (generator)."""
+    if not events:
+        return True
+    barrier = env.all_of(events)
+    clock = env.timeout(timeout_s)
+    yield env.any_of([barrier, clock])
+    return bool(barrier.triggered)
+
+
+def roll_back(
+    ctl: Controller,
+    snap: MigrationSnapshot,
+    journal: MigrationJournal,
+    actions: List[str],
+    store: Optional["FleetStateStore"] = None,
+):
+    """Undo a sequence that never reached its commit point (generator).
+
+    Everything comes from the journal snapshot ``snap`` plus the observed
+    world, in reverse phase order:
+
+    ``detach-stray``
+        eject HCAs this sequence attached on VMs away from their origin;
+    ``migrate-back``
+        precopy every relocated VM back to its origin host — except VMs
+        with a journalled postcopy switchover, whose only runnable image
+        is on the destination.  With a ``store``, each origin slot is
+        re-seeded while the VM travels home, so a resumed orchestrator
+        cannot book it;
+    ``reattach-origin``
+        re-attach the HCA on every VM that started with one;
+    ``resume-guests``
+        hand back the SymVirt rounds still owed (two minus the journalled
+        signals), reported once per round.  Each wait for the park is
+        bounded: coordinators that never got a checkpoint request never
+        park.
+
+    Only the steps that act are appended to ``actions``.  Returns the
+    number of origin slots re-seeded.
+    """
+    tag = snap.tag
+    stray = [
+        a for a in ctl.agents
+        if a.has_attached(tag) and a.qemu.node.name != snap.origin[a.qemu.vm.name]
+    ]
+    if stray:
+        yield ctl._parallel(a.device_detach(tag) for a in stray)
+        _acted(journal, snap.mid, actions, "detach-stray")
+
+    moved = {
+        a.qemu.vm.name: snap.origin[a.qemu.vm.name]
+        for a in ctl.agents
+        if a.qemu.node.name != snap.origin[a.qemu.vm.name]
+        and a.qemu.vm.name not in snap.postcopy_vms
+    }
+    reseeded = 0
+    if moved:
+        if store is not None:
+            for agent in ctl.agents:
+                name = agent.qemu.vm.name
+                if name not in moved:
+                    continue
+                try:
+                    store.reserve(moved[name], agent.qemu.vm.memory.size_bytes, owner=snap.mid)
+                    reseeded += 1
+                except FleetError as err:
+                    # The slot is contested; the migrate-back is the
+                    # physical claim and must proceed regardless.
+                    ctl.cluster.trace("recovery", "reseed_failed", vm=name, error=str(err))
+        yield from ctl.migration([], [], mapping=moved)
+        _acted(journal, snap.mid, actions, "migrate-back")
+
+    pending = [
+        a for a in ctl.agents
+        if snap.had_attached.get(a.qemu.vm.name) and not a.has_attached(tag)
+    ]
+    if pending:
+        yield ctl._parallel(a.device_attach(host="", tag=tag) for a in pending)
+        _acted(journal, snap.mid, actions, "reattach-origin")
+
+    for _ in range(max(2 - snap.signals, 0)):
+        parked = yield from _bounded(
+            ctl.env,
+            [a.qemu.vm.hypercall.wait_parked() for a in ctl.agents],
+            PARK_TIMEOUT_S,
+        )
+        if not parked:
+            break
+        yield from ctl.signal()
+        _acted(journal, snap.mid, actions, "resume-guests")
+
+    if store is not None and moved:
+        store.release_owner(snap.mid)
+    return reseeded
+
+
+def shed_dead_hcas(
+    ctl: Controller, tag: str, journal: MigrationJournal, mid: str, actions: List[str]
+):
+    """Past the commit point the move stands: eject every HCA whose port
+    never trained, so the guests fall back to the Ethernet path
+    (generator)."""
+    dead = []
+    for agent in ctl.agents:
+        if agent.has_attached(tag):
+            port = agent.qemu.assignments[tag].function.port
+            if port is None or port.state is not PortState.ACTIVE:
+                dead.append(agent)
+    if dead:
+        yield ctl._parallel(a.device_detach(tag) for a in dead)
+        _acted(journal, mid, actions, "detach-dead-hca")
 
 
 @dataclass
@@ -106,24 +302,11 @@ class RecoveryManager:
         cluster: "Cluster",
         journal: MigrationJournal,
         store: Optional["FleetStateStore"] = None,
-        park_timeout_s: float = 120.0,
-        linkup_timeout_s: float = 120.0,
-        settle_poll_s: float = 0.05,
-        settle_timeout_s: float = 3600.0,
-        settle_quiet_polls: int = 3,
     ) -> None:
         self.cluster = cluster
         self.env = cluster.env
         self.journal = journal
         self.store = store
-        #: Bound on waiting for coordinators to (re)park during rollback.
-        #: A crash before the checkpoint request means nobody will ever
-        #: park — recovery must not deadlock on a round that is not owed.
-        self.park_timeout_s = park_timeout_s
-        self.linkup_timeout_s = linkup_timeout_s
-        self.settle_poll_s = settle_poll_s
-        self.settle_timeout_s = settle_timeout_s
-        self.settle_quiet_polls = settle_quiet_polls
 
     # -- world lookups ------------------------------------------------------------
 
@@ -142,47 +325,6 @@ class RecoveryManager:
                 raise ReproError(f"recovery: VM {name!r} vanished from the cluster")
             qemus.append(qemu)
         return qemus
-
-    # -- bounded waits -------------------------------------------------------------
-
-    def _settle(self, qemus):
-        """Wait until no orphaned migration stream or hotplug primitive
-        is in flight (they are independent simulation processes and run
-        to completion with the controller dead).
-
-        "Quiet" must hold for several consecutive polls: a command the
-        dead controller issued just before dying is still on the wire for
-        one QMP round-trip and only then shows up as an active stream, so
-        a single instantaneous check would reconcile against state that
-        is about to change under us.
-        """
-        deadline = self.env.now + self.settle_timeout_s
-
-        def busy() -> bool:
-            for qemu in qemus:
-                if qemu.hotplug.active_ops:
-                    return True
-                job = qemu.current_migration
-                if job is not None and job.stats.in_flight:
-                    return True
-            return False
-
-        quiet = 0
-        while quiet < self.settle_quiet_polls:
-            if self.env.now >= deadline:
-                raise ReproError("recovery: in-flight work never settled")
-            quiet = quiet + 1 if not busy() else 0
-            yield self.env.timeout(self.settle_poll_s)
-
-    def _bounded(self, events, timeout_s: float):
-        """Wait for all ``events`` or the timeout; returns True if they
-        all fired (generator)."""
-        if not events:
-            return True
-        barrier = self.env.all_of(events)
-        clock = self.env.timeout(timeout_s)
-        yield self.env.any_of([barrier, clock])
-        return bool(barrier.triggered)
 
     # -- the recovery pass -----------------------------------------------------------
 
@@ -238,8 +380,7 @@ class RecoveryManager:
     def _recover_one(self, snap: MigrationSnapshot, report: RecoveryReport):
         qemus = self._qemus(snap)
         ctl = Controller(self.cluster, qemus)  # fresh epoch: passes fencing
-        tag = snap.tag
-        yield from self._settle(qemus)
+        yield from settle(self.env, qemus, quiet_polls=RECOVERY_QUIET_POLLS)
         decision_kind, basis = self._decide(snap, qemus)
         decision = RecoveryDecision(
             mid=snap.mid,
@@ -255,11 +396,14 @@ class RecoveryManager:
             "recovery", "decision", mid=snap.mid, decision=decision_kind,
             basis=basis, phase=snap.phase_reached,
         )
+        finish_partial_ejects(self.cluster, qemus, snap.tag, decision.actions)
         try:
             if decision_kind == "roll-forward":
                 yield from self._roll_forward(snap, ctl, decision)
             else:
-                yield from self._roll_back(snap, ctl, decision, report)
+                report.reseeded += yield from roll_back(
+                    ctl, snap, self.journal, decision.actions, store=self.store
+                )
         except ReproError as err:
             decision.error = str(err)
         ctl.close()
@@ -273,31 +417,11 @@ class RecoveryManager:
         )
         return decision
 
-    def _finish_partial_ejects(self, qemus, tag: str, decision: RecoveryDecision) -> None:
-        """A seated function with no guest driver is an interrupted
-        attach/detach; the safe terminal state is "ejected"."""
-        for qemu in qemus:
-            assignment = qemu.assignments.get(tag)
-            kernel = qemu.vm.kernel
-            if (
-                assignment is not None
-                and assignment.attached
-                and kernel is not None
-                and not kernel.has_driver(assignment.function)
-            ):
-                assignment.unseat()
-                decision.actions.append(f"finish-eject:{qemu.vm.name}")
-                self.cluster.trace(
-                    "recovery", "finish_eject", vm=qemu.vm.name, tag=tag
-                )
-
-    # -- roll-forward ----------------------------------------------------------------
-
     def _roll_forward(self, snap: MigrationSnapshot, ctl: Controller, decision):
-        """Past the commit point: the move stands.  Finish link-up (or
-        shed HCAs whose port never trains) and close out the sequence."""
+        """Past the commit point: the move stands.  Deliver a resume the
+        crash swallowed, wait out link-up, then shed HCAs whose port
+        never trains."""
         tag = snap.tag
-        self._finish_partial_ejects([a.qemu for a in ctl.agents], tag, decision)
         # The crash may have landed before the second signal's record but
         # after its delivery; if any VM is somehow still parked (crash at
         # resume intent resolved forward by journal), deliver the resume.
@@ -305,117 +429,19 @@ class RecoveryManager:
         if parked:
             yield ctl._parallel(a.signal() for a in parked)
             decision.actions.append("deliver-resume")
-        waiting = []
+        training = []
         for agent in ctl.agents:
-            name = agent.qemu.vm.name
-            if snap.attach.get(name) and agent.has_attached(tag):
+            if snap.attach.get(agent.qemu.vm.name) and agent.has_attached(tag):
                 port = agent.qemu.assignments[tag].function.port
                 if port is not None and port.state is not PortState.ACTIVE:
-                    waiting.append((agent, port))
-        if waiting:
-            trained = yield from self._bounded(
-                [port.wait_active() for _, port in waiting], self.linkup_timeout_s
-            )
+                    training.append(port.wait_active())
+        if training:
+            trained = yield from _bounded(self.env, training, LINKUP_TIMEOUT_S)
             decision.actions.append("await-linkup")
             if not trained:
-                dead = [
-                    agent for agent, port in waiting
-                    if port.state is not PortState.ACTIVE
-                ]
-                if dead:
-                    yield ctl._parallel(a.device_detach(tag) for a in dead)
-                    decision.actions.append("detach-dead-hca")
-                    self.journal.append(
-                        "rollback-action", mid=snap.mid, action="detach-dead-hca"
-                    )
-
-    # -- roll-back -------------------------------------------------------------------
-
-    def _roll_back(self, snap: MigrationSnapshot, ctl: Controller, decision, report):
-        """Before the commit point: undo, mirroring the compensation
-        stack the dead controller would have unwound (LIFO)."""
-        tag = snap.tag
-        qemus = [a.qemu for a in ctl.agents]
-        self._finish_partial_ejects(qemus, tag, decision)
-
-        # detach-stray: HCAs this sequence attached away from home.
-        stray = [
-            a for a in ctl.agents
-            if a.has_attached(tag)
-            and a.qemu.node.name != snap.origin[a.qemu.vm.name]
-        ]
-        if stray:
-            yield ctl._parallel(a.device_detach(tag) for a in stray)
-            decision.actions.append("detach-stray")
-            self.journal.append("rollback-action", mid=snap.mid, action="detach-stray")
-
-        # migrate-back, with the origin slot re-seeded in the store so a
-        # resumed orchestrator cannot book it while the VM travels home.
-        # Defensive: VMs with a journalled postcopy switchover never
-        # travel home even when the rest of the sequence rolls back.
-        moved = {
-            a.qemu.vm.name: snap.origin[a.qemu.vm.name]
-            for a in ctl.agents
-            if a.qemu.node.name != snap.origin[a.qemu.vm.name]
-            and a.qemu.vm.name not in snap.postcopy_vms
-        }
-        if moved:
-            if self.store is not None:
-                for agent in ctl.agents:
-                    name = agent.qemu.vm.name
-                    if name not in moved:
-                        continue
-                    try:
-                        self.store.reserve(
-                            moved[name],
-                            agent.qemu.vm.memory.size_bytes,
-                            owner=snap.mid,
-                        )
-                        report.reseeded += 1
-                    except FleetError as err:
-                        # The slot is contested; the migrate-back is the
-                        # physical claim and must proceed regardless.
-                        self.cluster.trace(
-                            "recovery", "reseed_failed", vm=name, error=str(err)
-                        )
-            yield from ctl.migration([], [], mapping=moved)
-            decision.actions.append("migrate-back")
-            self.journal.append("rollback-action", mid=snap.mid, action="migrate-back")
-
-        # reattach-origin: restore the pre-transaction HCA state.
-        pending = [
-            a for a in ctl.agents
-            if snap.had_attached.get(a.qemu.vm.name) and not a.has_attached(tag)
-        ]
-        if pending:
-            yield ctl._parallel(a.device_attach(host="", tag=tag) for a in pending)
-            decision.actions.append("reattach-origin")
-            self.journal.append(
-                "rollback-action", mid=snap.mid, action="reattach-origin"
-            )
-
-        # resume-guests: hand back the owed SymVirt rounds.  Bounded —
-        # a crash before round A means the coordinators may still be on
-        # their way to the park (wait for them), while a crash before
-        # the checkpoint request means they never will be (time out and
-        # owe nothing).
-        owed = max(2 - snap.signals, 0)
-        for _ in range(owed):
-            parked = yield from self._bounded(
-                [a.qemu.vm.hypercall.wait_parked() for a in ctl.agents],
-                self.park_timeout_s,
-            )
-            if not parked:
-                break
-            yield ctl._parallel(a.signal() for a in ctl.agents)
-            decision.actions.append("resume-guests")
-        if owed:
-            self.journal.append(
-                "rollback-action", mid=snap.mid, action="resume-guests"
-            )
-
-        if self.store is not None and moved:
-            self.store.release_owner(snap.mid)
+                yield from shed_dead_hcas(
+                    ctl, tag, self.journal, snap.mid, decision.actions
+                )
 
     # -- fleet resubmission ------------------------------------------------------------
 

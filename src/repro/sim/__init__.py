@@ -26,7 +26,7 @@ Quick example::
 from repro.sim.core import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Container, Store
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -37,9 +37,7 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
-    "Resource",
     "RngRegistry",
     "Store",
     "Timeout",

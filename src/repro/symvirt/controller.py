@@ -80,19 +80,6 @@ class Controller:
         yield self._parallel(agent.signal() for agent in self.agents)
         self.cluster.trace("symvirt", "signal", vms=[q.vm.name for q in self.vms])
 
-    def release(self, rounds: int):
-        """Drive ``rounds`` outstanding park/resume rounds to completion.
-
-        The rollback path of the transactional orchestrator uses this to
-        hand back however many wait/signal rounds the aborted sequence
-        still owes the guests (coordinators always execute exactly two
-        rounds per checkpoint request — round A and round B — whether or
-        not the controller finishes its work in between).
-        """
-        for _ in range(rounds):
-            yield from self.wait_all()
-            yield from self.signal()
-
     def parked_count(self) -> int:
         """How many controlled VMs are currently parked (diagnostics)."""
         return sum(1 for q in self.vms if q.vm.hypercall.parked)

@@ -125,7 +125,7 @@ def test_abort_at_every_phase_is_safe(phase, plan_kind):
         _assert_safe(cluster, vms, job, plan, expected)
     else:
         assert phase != "linkup"
-        # Full rollback: compensation ran and the world is restored.
+        # Full rollback: the undo steps ran and the world is restored.
         assert "resume-guests" in result.rollback_actions
         _assert_safe(cluster, vms, job, plan, origin, attached_before)
 
@@ -152,6 +152,45 @@ def test_fallback_abort_restores_openib():
     assert result.rollback_actions[-1] == "resume-guests"
     cluster.env.run(until=cluster.env.now + 90.0)
     assert job.transports_in_use() == {"openib": job.size * (job.size - 1)}
+
+
+@pytest.mark.parametrize("failing", (1, 2))
+def test_one_failing_agent_in_parallel_detach_rolls_back_the_sibling(failing):
+    """The live rollback settles with no extra quiet polls.  When one
+    agent's ``device_del`` fails, the sibling's command shares the same
+    QMP round trip and lands at the same instant, before the phase
+    barrier's failure reaches the controller — so the rollback sees the
+    sibling's eject in flight, waits for it, and re-attaches its HCA."""
+    cluster, vms, job = _setup()
+    ninja = NinjaMigration(cluster, retry_policy=RetryPolicy(max_attempts=1))
+    plan = ninja.fallback_plan(vms, ["eth01", "eth02"])
+    origin = {q.vm.name: q.node.name for q in vms}
+    cluster.faults.arm(
+        "qmp.device_del", error=QmpError("GenericError", "monitor reset"), nth=failing
+    )
+    result = _execute(cluster, ninja, job, plan)
+    assert result.aborted and result.failed_phase == "detach"
+    assert result.rollback_actions == ["reattach-origin", "resume-guests", "resume-guests"]
+    cluster.env.run(until=cluster.env.now + 90.0)
+    for q in vms:
+        assert q.node.name == origin[q.vm.name]
+        assert q.assignments[plan.detach_tag].attached
+        assert q.vm.kernel.has_driver(q.assignments[plan.detach_tag].function)
+        assert not q.vm.hypercall.parked
+
+
+def test_rollback_reports_only_steps_that_acted():
+    """A fallback plan re-attaches nothing, so an abort in attach has no
+    stray HCA to eject and ``detach-stray`` is not reported."""
+    cluster, vms, job, ninja, plan = _arrange("fallback")
+    cluster.faults.arm("ninja.attach")
+    result = _execute(cluster, ninja, job, plan)
+    assert result.rollback_actions == ["migrate-back", "reattach-origin", "resume-guests"]
+    # Each step that acted is journalled once, after it landed.
+    records = ninja.journal.records_for(result.migration_id)
+    assert [r.payload["action"] for r in records if r.kind == "rollback-action"] == (
+        result.rollback_actions
+    )
 
 
 # -- per-phase timeouts -------------------------------------------------------

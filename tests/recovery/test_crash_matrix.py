@@ -16,10 +16,13 @@ crash-recovery contract:
   next command.
 """
 
+import json
+
 import pytest
 
 from repro.core.ninja import NinjaMigration
 from repro.errors import ControllerCrashError, StaleEpochError
+from repro.recovery.journal import MigrationJournal
 from repro.recovery.recovery import RecoveryManager
 from repro.symvirt.controller import Controller
 from repro.testbed import create_job, provision_vms
@@ -90,8 +93,8 @@ def _crash(cluster, ninja, job, plan, point):
     return drive(cluster.env, main(), name="crash")
 
 
-def _recover(cluster, ninja, reason):
-    manager = RecoveryManager(cluster, ninja.journal)
+def _recover(cluster, ninja, reason, journal=None):
+    manager = RecoveryManager(cluster, journal or ninja.journal)
 
     def main():
         report = yield from manager.recover(reason=reason)
@@ -181,3 +184,82 @@ def test_recovery_is_idempotent_and_terminal():
     second = _recover(cluster, ninja, reason="second")
     assert second.clean and len(second.decisions) == 0
     _assert_settled(cluster, vms, ORIGINS)
+
+
+#: The undo each phase pushed onto the compensation stack that older
+#: controllers kept, journalled as a ``compensation`` record just before
+#: the phase's intent.
+LEGACY_COMPENSATIONS = {
+    "coordination": "resume-guests",
+    "detach": "reattach-origin",
+    "migration": "migrate-back",
+    "attach": "detach-stray",
+}
+
+
+def _legacy_text(journal):
+    """The journal as an older controller wrote it: the same records plus
+    one ``compensation`` record per risky phase, seq renumbered.  For a
+    crash at a phase's ``commit`` boundary this is byte for byte what
+    such a controller wrote."""
+    records = []
+    for record in journal.records:
+        action = LEGACY_COMPENSATIONS.get(record.phase)
+        if record.kind == "intent" and action:
+            records.append({"kind": "compensation", "mid": record.mid,
+                            "payload": {"action": action}, "time": record.time})
+        records.append(record.to_dict())
+    return "\n".join(
+        json.dumps(dict(r, seq=seq), sort_keys=True) for seq, r in enumerate(records)
+    )
+
+
+def test_legacy_journal_with_compensation_records_rolls_back():
+    """Journal text holding the retired ``compensation`` records still
+    loads, folds to the same snapshot, and drives a clean roll-back."""
+    cluster, vms, job = _setup()
+    ninja = NinjaMigration(cluster)
+    plan = ninja.fallback_plan(vms, ["eth01", "eth02"])
+    assert _crash(cluster, ninja, job, plan, "attach.commit") == "crashed"
+
+    legacy = MigrationJournal.loads(_legacy_text(ninja.journal))
+    assert [r.kind for r in legacy.records].count("compensation") == 4
+    (mid,) = legacy.migration_ids()
+    assert legacy.snapshot(mid) == ninja.journal.snapshot(mid)
+
+    report = _recover(cluster, ninja, reason="legacy journal", journal=legacy)
+    assert report.clean, [d.error for d in report.decisions]
+    (decision,) = report.decisions
+    assert decision.decision == "roll-back"
+    assert decision.actions == ["migrate-back", "reattach-origin", "resume-guests"]
+    _assert_settled(cluster, vms, ORIGINS)
+    for q in vms:
+        assert q.assignments[plan.detach_tag].attached
+
+
+@pytest.mark.parametrize("phase", ("coordination", "detach", "migration", "attach", "confirm"))
+def test_live_rollback_and_crash_recovery_take_the_same_steps(phase):
+    """One undo path: a live abort at a phase's start and a controller
+    crash at the same boundary leave the same world, and undo it with the
+    same steps."""
+    cluster, vms, job = _setup()
+    ninja = NinjaMigration(cluster)
+    cluster.faults.arm(f"ninja.{phase}")
+    result = drive(
+        cluster.env,
+        ninja.execute(job, ninja.fallback_plan(vms, ["eth01", "eth02"])),
+        name="live",
+    )
+    assert result.aborted and not result.committed
+
+    cluster2, vms2, job2 = _setup()
+    ninja2 = NinjaMigration(cluster2)
+    plan2 = ninja2.fallback_plan(vms2, ["eth01", "eth02"])
+    assert _crash(cluster2, ninja2, job2, plan2, f"{phase}.intent") == "crashed"
+    (decision,) = _recover(cluster2, ninja2, reason=phase).decisions
+
+    assert decision.decision == "roll-back"
+    assert result.rollback_actions == decision.actions
+    assert "resume-guests" in decision.actions
+    _assert_settled(cluster, vms, ORIGINS)
+    _assert_settled(cluster2, vms2, ORIGINS)

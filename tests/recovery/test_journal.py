@@ -1,6 +1,8 @@
 """Unit tests for the write-ahead migration journal: fold semantics,
 replay idempotence, JSONL persistence, and fleet-request folding."""
 
+import json
+
 import pytest
 
 from repro.recovery.journal import (
@@ -23,7 +25,6 @@ def _scripted_journal(committed=False, terminal=None):
         tag="vf0", attach={"vm1": False, "vm2": False},
         had_attached={"vm1": True, "vm2": True}, request_checkpoint=True,
     )
-    journal.append("compensation", mid=mid, action="resume-guests")
     journal.append("intent", mid=mid, phase="coordination")
     journal.append("commit", mid=mid, phase="coordination")
     journal.append("intent", mid=mid, phase="detach")
@@ -53,7 +54,6 @@ def test_snapshot_folds_identity_and_progress():
     assert snap.signals == 1
     assert not snap.committed
     assert snap.unfinished
-    assert snap.compensations == ["resume-guests"]
 
 
 def test_commit_point_record_is_the_watershed():
@@ -107,6 +107,29 @@ def test_jsonl_round_trip(tmp_path):
     assert [r.to_dict() for r in loaded.records] == [
         r.to_dict() for r in journal.records
     ]
+
+
+def test_torn_final_line_is_dropped():
+    """A writer that dies mid-append leaves a cut-off last line: loading
+    keeps every complete record and skips only the torn one."""
+    journal, mid = _scripted_journal()
+    loaded = MigrationJournal.loads(journal.dumps()[:-5])
+    assert [r.to_dict() for r in loaded.records] == [
+        r.to_dict() for r in journal.records[:-1]
+    ]
+    assert loaded.snapshot(mid).phase_reached == "detach"
+    # New appends continue the sequence after the last intact record.
+    assert loaded.append("intent", mid=mid, phase="migration").seq == len(journal.records) - 1
+
+
+def test_corrupt_earlier_line_raises():
+    """Damage before the last line is not a torn append and must not be
+    silently skipped."""
+    journal, _ = _scripted_journal()
+    lines = journal.dumps().splitlines()
+    lines[2] = lines[2][:-5]
+    with pytest.raises(json.JSONDecodeError):
+        MigrationJournal.loads("\n".join(lines))
 
 
 def test_prefix_replay_never_overstates_progress():

@@ -1,107 +1,10 @@
-"""Unit tests: Resource / PriorityResource / Container / Store."""
+"""Unit tests: Container / Store."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Container, Store
 from tests.conftest import drive
-
-
-# -- Resource ---------------------------------------------------------------
-
-
-def test_resource_serializes_users(env):
-    resource = Resource(env, capacity=1)
-    order = []
-
-    def user(env, name, hold):
-        with resource.request() as req:
-            yield req
-            order.append((name, env.now))
-            yield env.timeout(hold)
-
-    env.process(user(env, "a", 2.0))
-    env.process(user(env, "b", 1.0))
-    env.process(user(env, "c", 1.0))
-    env.run()
-    assert order == [("a", 0.0), ("b", 2.0), ("c", 3.0)]
-
-
-def test_resource_capacity_two(env):
-    resource = Resource(env, capacity=2)
-    order = []
-
-    def user(env, name):
-        with resource.request() as req:
-            yield req
-            order.append((name, env.now))
-            yield env.timeout(1.0)
-
-    for name in "abc":
-        env.process(user(env, name))
-    env.run()
-    assert order == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_resource_invalid_capacity():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Resource(env, capacity=0)
-
-
-def test_request_cancel_releases_queue_slot(env):
-    resource = Resource(env, capacity=1)
-    got = []
-
-    def holder(env):
-        with resource.request() as req:
-            yield req
-            yield env.timeout(5.0)
-
-    def impatient(env):
-        req = resource.request()
-        yield env.timeout(1.0)
-        req.cancel()
-        got.append("cancelled")
-
-    def patient(env):
-        with resource.request() as req:
-            yield req
-            got.append(("patient", env.now))
-
-    env.process(holder(env))
-    env.process(impatient(env))
-    env.process(patient(env))
-    env.run()
-    assert ("patient", 5.0) in got
-
-
-def test_priority_resource_orders_waiters(env):
-    resource = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with resource.request(priority=0) as req:
-            yield req
-            yield env.timeout(1.0)
-
-    def waiter(env, name, priority):
-        with resource.request(priority=priority) as req:
-            yield req
-            order.append(name)
-
-    env.process(holder(env))
-
-    def spawn(env):
-        yield env.timeout(0.1)
-        env.process(waiter(env, "low", 10))
-        env.process(waiter(env, "high", 1))
-        env.process(waiter(env, "mid", 5))
-
-    env.process(spawn(env))
-    env.run()
-    assert order == ["high", "mid", "low"]
 
 
 # -- Container -----------------------------------------------------------------
