@@ -9,11 +9,7 @@ paper's overhead breakdowns (hotplug / migration / link-up).
 """
 
 from repro.core.checkpointing import CheckpointResult, ProactiveCheckpoint
-from repro.core.fault_tolerance import (
-    FaultToleranceManager,
-    Health,
-    HealthMonitor,
-)
+from repro.core.fault_tolerance import Health, HealthMonitor
 from repro.core.metrics import IterationSample, IterationSeries, OverheadBreakdown
 from repro.core.ninja import NinjaMigration, NinjaResult
 from repro.core.phases import PhaseTimeline
@@ -24,7 +20,6 @@ from repro.core.scheduler import CloudScheduler, TriggerEvent
 __all__ = [
     "CheckpointResult",
     "CloudScheduler",
-    "FaultToleranceManager",
     "Health",
     "HealthMonitor",
     "PowerAwarePlacer",

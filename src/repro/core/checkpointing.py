@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.nfs import NfsServer
     from repro.vmm.qemu import QemuProcess
 
+#: The VMM-bypass device a checkpoint releases and re-plumbs ("vf0" in
+#: Figure 5).
+DETACH_TAG = "vf0"
+
 
 @dataclass
 class CheckpointResult:
@@ -74,8 +78,6 @@ class ProactiveCheckpoint:
         self,
         job: "MpiJob",
         qemus: Sequence["QemuProcess"],
-        detach_tag: str = "vf0",
-        request_checkpoint: bool = True,
         image_suffix: str = "",
         extra_meta: Optional[dict] = None,
         warm_reattach: bool = False,
@@ -99,8 +101,7 @@ class ProactiveCheckpoint:
         ctl = Controller(self.cluster, qemus)
 
         timeline.begin("coordination", env.now)
-        if request_checkpoint:
-            job.request_checkpoint()
+        job.request_checkpoint()
         yield from ctl.wait_all()
         timeline.end("coordination", env.now)
         consistency_at = env.now
@@ -108,7 +109,7 @@ class ProactiveCheckpoint:
         # Round A: release VMM-bypass devices (snapshots are blocked on
         # assigned devices, exactly like migration).
         timeline.begin("detach", env.now)
-        yield from ctl.device_detach(detach_tag)
+        yield from ctl.device_detach(DETACH_TAG)
         timeline.end("detach", env.now)
         yield from ctl.signal()
         yield from ctl.wait_all()
@@ -132,7 +133,7 @@ class ProactiveCheckpoint:
         reattach = [q for q in qemus if q.node.has_infiniband]
         if reattach:
             yield ctl._parallel(
-                agent.device_attach(host="04:00.0", tag=detach_tag)
+                agent.device_attach(host="04:00.0", tag=DETACH_TAG)
                 for agent in ctl.agents
                 if agent.qemu in reattach
             )
@@ -140,7 +141,7 @@ class ProactiveCheckpoint:
 
         linkup_events = []
         for qemu in reattach:
-            assignment = qemu.assignments.get(detach_tag)
+            assignment = qemu.assignments.get(DETACH_TAG)
             if assignment is None or assignment.function.port is None:
                 raise SymVirtError(f"{qemu.vm.name}: re-attach left no port")
             port = assignment.function.port

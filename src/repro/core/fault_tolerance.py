@@ -1,38 +1,33 @@
-"""Reactive fault tolerance: health monitoring driving automatic Ninja.
+"""Node health feed: the input side of reactive fault tolerance.
 
 Section II-A's non-stop-maintenance use case pairs Ninja migration with
 "proactive and reactive fault tolerant systems": *proactive* handling
 (evacuate ahead of a predicted failure) and *reactive* handling (restore
 from checkpoints after an unpredicted one).  This module supplies the
-policy loop:
+feed both react to:
 
-* :class:`HealthMonitor` — a per-node health feed; experiments inject
-  warnings ("ECC errors rising", "thermal trip predicted") and failures;
-* :class:`FaultToleranceManager` — subscribes to the feed and reacts:
-  a *warning* triggers an automatic fallback of the affected node's VMs
-  to healthy hosts (Ninja — no process restarts); a *failure* of a node
-  holding VMs triggers restore-from-latest-checkpoint on healthy hosts
-  when a :class:`~repro.core.checkpointing.ProactiveCheckpoint` schedule
-  is attached.
+* :class:`HealthMonitor` — per-node health state plus subscriber
+  notification; experiments inject warnings ("ECC errors rising",
+  "thermal trip predicted") and failures, and
+  :class:`~repro.recovery.failure_detector.HeartbeatMonitor` drives it
+  from phi-accrual suspicion.
+
+The reactions live in the fleet layer:
+:meth:`~repro.orchestrator.executor.FleetOrchestrator.watch` turns a
+*warning* into an evacuation (abort → blacklist → retry on other
+hosts), and the incident runbook's ``restore-from-checkpoint`` step
+restores a dead host's jobs from
+:class:`~repro.recovery.checkpoints.FleetCheckpointService` generations.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
-
-from repro.core.checkpointing import CheckpointResult, ProactiveCheckpoint
-from repro.core.plan import MigrationPlan
-from repro.core.scheduler import CloudScheduler
-from repro.errors import MigrationAbortedError, SchedulerError
-from repro.sim.events import Event
-from repro.vmm.vm import RunState
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.cluster import Cluster
-    from repro.mpi.runtime import MpiJob
-    from repro.vmm.qemu import QemuProcess
 
 
 class Health(enum.Enum):
@@ -86,204 +81,3 @@ class HealthMonitor:
             self.report(node, state, reason)
 
         self.env.process(_fire(), name=f"health.{node}")
-
-
-@dataclass
-class FtAction:
-    """One reaction taken by the manager."""
-
-    time: float
-    kind: str           # "evacuate" | "restore"
-    node: str
-    detail: str = ""
-    ok: bool = True
-
-
-class FaultToleranceManager:
-    """Automatic evacuation/restore policy bound to one job."""
-
-    def __init__(
-        self,
-        cluster: "Cluster",
-        job: "MpiJob",
-        qemus: Sequence["QemuProcess"],
-        monitor: Optional[HealthMonitor] = None,
-        checkpointer: Optional[ProactiveCheckpoint] = None,
-        state=None,
-    ) -> None:
-        self.cluster = cluster
-        self.env = cluster.env
-        self.job = job
-        self.qemus = list(qemus)
-        self.monitor = monitor if monitor is not None else HealthMonitor(cluster)
-        #: ``state`` (a fleet state store) makes the embedded scheduler's
-        #: placement reservation-aware when fleet and FT manager coexist.
-        self.scheduler = CloudScheduler(cluster, state=state)
-        self.checkpointer = checkpointer
-        self.last_checkpoint: Optional[CheckpointResult] = None
-        self.actions: List[FtAction] = []
-        self._busy = False
-        self.monitor.subscribe(self._on_event)
-
-    # -- checkpoint schedule -------------------------------------------------------
-
-    def run_checkpoint_schedule(self, period_s: float, rounds: int = 10**9):
-        """Periodic proactive checkpoints (generator — run as a process)."""
-        if self.checkpointer is None:
-            raise SchedulerError("no ProactiveCheckpoint attached")
-        for _ in range(rounds):
-            yield self.env.timeout(period_s)
-            if self.job.live_ranks < self.job.size:
-                return
-            reason = self._skip_reason()
-            if reason is not None:
-                # Checkpointing a VM mid-migration (or one that no longer
-                # runs here) would capture a torn or stale image.
-                self.cluster.trace("ft", "checkpoint_skipped", reason=reason)
-                continue
-            self.last_checkpoint = yield from self.checkpointer.execute(
-                self.job, self.qemus
-            )
-
-    # -- reactions -----------------------------------------------------------------------
-
-    def _on_event(self, event: HealthEvent) -> None:
-        if event.state is Health.WARNING:
-            self.env.process(self._evacuate(event), name=f"ft.evacuate.{event.node}")
-        elif event.state is Health.FAILED:
-            self.env.process(self._react_to_failure(event), name=f"ft.restore.{event.node}")
-
-    def _vms_on(self, node: str) -> List["QemuProcess"]:
-        return [q for q in self.qemus if q.node.name == node]
-
-    def _skip_reason(self) -> Optional[str]:
-        """Why the fleet cannot be checkpointed or evacuated right now.
-
-        Guards against racing a migration already in flight and against
-        acting on VMs that are gone — shut off with a dead host, or
-        superseded by a checkpoint restore that booted replacements
-        elsewhere (this manager still holds the stale handles).
-        """
-        for qemu in self.qemus:
-            migration = qemu.current_migration
-            if migration is not None and migration.stats.in_flight:
-                return f"{qemu.vm.name}: mid-migration"
-            if qemu.node.failed:
-                return f"{qemu.vm.name}: host {qemu.node.name} failed"
-            if qemu.vm.state is not RunState.RUNNING:
-                return f"{qemu.vm.name}: {qemu.vm.state.value}"
-        return None
-
-    def _evacuate(self, event: HealthEvent):
-        """Predicted failure: Ninja-migrate every VM of the whole fleet.
-
-        All VMs move together — the SymVirt park is global, and leaving
-        peers behind would split the job across a degraded node anyway.
-
-        An *aborted* sequence (the transactional orchestrator rolled the
-        job back to a safe, running state) is retried on alternate hosts:
-        the failed destination set is blacklisted and the next-best
-        healthy set is tried, until either an attempt completes or the
-        healthy pool is exhausted.
-        """
-        if self._busy or not self._vms_on(event.node):
-            return
-        reason = self._skip_reason()
-        if reason is not None:
-            self.actions.append(FtAction(
-                self.env.now, "evacuate", event.node,
-                detail=f"skipped: {reason}", ok=False,
-            ))
-            return
-        self._busy = True
-        try:
-            vm_bytes = max(q.vm.memory.size_bytes for q in self.qemus)
-            tried: set = set()
-            while True:
-                healthy = [
-                    h for h in self.monitor.healthy_nodes()
-                    if h not in tried
-                    and not self.cluster.node(h).vms
-                    and self.cluster.node(h).free_memory >= vm_bytes
-                ]
-                if len(healthy) < len(self.qemus):
-                    self.actions.append(FtAction(
-                        self.env.now, "evacuate", event.node,
-                        detail="insufficient healthy capacity"
-                        + (f" after {len(tried)} blacklisted hosts" if tried else ""),
-                        ok=False,
-                    ))
-                    return
-                dst = healthy[: len(self.qemus)]
-                plan = MigrationPlan.build(
-                    self.cluster, self.qemus, dst,
-                    attach_ib=None, label=f"evacuate:{event.node}",
-                )
-                try:
-                    result = yield from self.scheduler.run_now(
-                        "health-warning", plan, self.job
-                    )
-                except MigrationAbortedError as err:
-                    # Rollback itself failed — the job is in an unknown
-                    # state; retrying elsewhere could make it worse.
-                    self.actions.append(FtAction(
-                        self.env.now, "evacuate", event.node,
-                        detail=f"unrecoverable: {err}", ok=False,
-                    ))
-                    return
-                if not result.aborted:
-                    self.actions.append(FtAction(
-                        self.env.now, "evacuate", event.node,
-                        detail=f"{len(self.qemus)} VMs, {result.breakdown}", ok=True,
-                    ))
-                    return
-                # Aborted cleanly: the VMs are back where they started —
-                # blacklist this destination set and try the next one.
-                tried.update(dst)
-                self.cluster.trace(
-                    "ft", "evacuate_retry",
-                    node=event.node,
-                    failed_phase=result.failed_phase,
-                    blacklisted=sorted(tried),
-                )
-                self.actions.append(FtAction(
-                    self.env.now, "evacuate", event.node,
-                    detail=f"aborted in {result.failed_phase}; "
-                           f"retrying on alternate hosts",
-                    ok=False,
-                ))
-        finally:
-            self._busy = False
-
-    def _react_to_failure(self, event: HealthEvent):
-        """Hard failure: restore the latest checkpoint on healthy hosts."""
-        lost = self._vms_on(event.node)
-        if not lost:
-            return
-        for qemu in lost:
-            if qemu.vm.state is not RunState.SHUTOFF:
-                qemu.shutdown()
-        if self.checkpointer is None or self.last_checkpoint is None:
-            self.actions.append(FtAction(
-                self.env.now, "restore", event.node,
-                detail="no checkpoint available — job lost", ok=False,
-            ))
-            return
-        healthy = [
-            h for h in self.monitor.healthy_nodes() if not self.cluster.node(h).vms
-        ]
-        if not healthy:
-            self.actions.append(FtAction(
-                self.env.now, "restore", event.node,
-                detail="no healthy capacity", ok=False,
-            ))
-            return
-        restored = yield from self.checkpointer.restore(
-            self.last_checkpoint.image_names, healthy, name_suffix="-r"
-        )
-        self.actions.append(FtAction(
-            self.env.now, "restore", event.node,
-            detail=f"restored {len(restored)} VMs on {[q.node.name for q in restored]}",
-            ok=True,
-        ))
-        return restored

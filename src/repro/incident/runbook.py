@@ -58,12 +58,13 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FleetError, IncidentError, NetworkError, ReproError
 from repro.incident.correlator import REMEDIATING, RESOLVED, Incident
 from repro.orchestrator.admission import (
     COMPLETED,
+    EVACUATION_PRIORITY,
     FAILED,
     PENDING,
     RUNNING,
@@ -377,7 +378,7 @@ class RunbookExecutor:
             for job_id in to_evacuate:
                 request = orch.submit(
                     job_id, kind="evacuate",
-                    priority=orch.config.evacuation_priority,
+                    priority=EVACUATION_PRIORITY,
                     incident_id=incident.incident_id,
                 )
                 request.blacklist.update(
@@ -442,7 +443,7 @@ class RunbookExecutor:
                 submitted.append(
                     orch.submit(
                         job_id, kind="evacuate",
-                        priority=orch.config.evacuation_priority,
+                        priority=EVACUATION_PRIORITY,
                         incident_id=incident.incident_id,
                     )
                 )

@@ -25,7 +25,6 @@ class BtlSelection:
         self.proc = proc
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self.modules: List[Btl] = []
-        self._routes: Dict[int, Btl] = {}
         #: Snapshot of usable component names at the last (re)construction;
         #: the continue phase compares against it to decide whether
         #: reconstruction is needed.
@@ -51,7 +50,6 @@ class BtlSelection:
         for component in usable:
             yield self.proc.env.timeout(self.proc.calibration.btl_init_s)
             self.modules.append(component(self.proc))
-        self._routes.clear()
         self.device_fingerprint = tuple(c.name for c in usable)
         self.generations += 1
         self.proc.trace(
@@ -83,7 +81,6 @@ class BtlSelection:
         for module in self.modules:
             module.finalize()
         self.modules = []
-        self._routes.clear()
         self.proc.trace("btl", "finalized")
 
     def prepare_checkpoint(self) -> None:
@@ -95,7 +92,6 @@ class BtlSelection:
         """
         for module in self.modules:
             module.prepare_checkpoint()
-        self._routes.clear()
         self.proc.trace("btl", "prepare_checkpoint")
 
     def needs_reconstruction(self) -> bool:
@@ -115,13 +111,14 @@ class BtlSelection:
     # -- routing -------------------------------------------------------------------
 
     def route(self, peer: "MpiProcess") -> Btl:
-        """The module carrying traffic to ``peer`` (cached)."""
-        module = self._routes.get(peer.rank)
-        if module is not None and module.alive and module.reaches(peer):
-            return module
+        """The module carrying traffic to ``peer``.
+
+        Re-resolved on every call rather than cached: a peer whose port was
+        still training when a rank first sent to it is reached over tcp,
+        and must switch to openib as soon as that port comes up.
+        """
         for candidate in self.modules:  # ordered high→low exclusivity
             if candidate.alive and candidate.reaches(peer):
-                self._routes[peer.rank] = candidate
                 return candidate
         raise BtlUnreachableError(
             f"rank {self.proc.rank}: no BTL reaches rank {peer.rank} "

@@ -39,6 +39,9 @@ CANCELLED = "cancelled"  # terminal: withdrawn by the operator / incident respon
 
 TERMINAL_STATES = (COMPLETED, ABORTED, FAILED, CANCELLED)
 
+#: Priority of health-driven and incident evacuations: ahead of routine work.
+EVACUATION_PRIORITY = 100
+
 
 @dataclass(eq=False)
 class MigrationRequest:

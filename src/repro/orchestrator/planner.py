@@ -86,19 +86,6 @@ class PlannedMigration:
         self.links = frozenset(links)
         return self
 
-    def est_solo_seconds(self, cluster: "Cluster") -> float:
-        """Migration time with the whole path to itself (per-VM max)."""
-        topology = cluster.eth_fabric.topology if cluster.eth_fabric else None
-        cap = cluster.calibration.migration_cpu_cap_Bps
-        worst = 0.0
-        for entry in self.plan.entries:
-            nbytes = estimate_entry_bytes(entry)
-            rate = cap
-            if not entry.is_self_migration and topology is not None:
-                rate = min(rate, topology.bottleneck_Bps(entry.src_host, entry.dst_host))
-            worst = max(worst, nbytes / rate)
-        return worst
-
 
 class WavePlanner:
     """Sequences a batch of plans over the shared Ethernet fabric."""

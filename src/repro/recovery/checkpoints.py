@@ -80,7 +80,6 @@ class FleetCheckpointService:
         journal: "MigrationJournal",
         period_s: float = 12.0,
         keep_generations: int = 2,
-        detach_tag: str = "vf0",
     ) -> None:
         self.cluster = cluster
         self.env = cluster.env
@@ -89,7 +88,6 @@ class FleetCheckpointService:
         self.journal = journal
         self.period_s = period_s
         self.keep_generations = max(1, keep_generations)
-        self.detach_tag = detach_tag
         self.checkpointer = ProactiveCheckpoint(cluster, nfs)
         #: Fencing epoch current at construction; checked before commits.
         self.epoch = cluster.fencing.current
@@ -156,7 +154,7 @@ class FleetCheckpointService:
                     "checkpoint", "failed", job=job_id, error=str(err),
                 )
 
-    # -- eligibility (satellite guard, shared with FaultToleranceManager) ---------
+    # -- eligibility -------------------------------------------------------------
 
     def ineligible_reason(self, record: "FleetJob") -> Optional[str]:
         """Why ``record`` must not be checkpointed right now (None = go).
@@ -206,7 +204,6 @@ class FleetCheckpointService:
             result = yield from self.checkpointer.execute(
                 record.job,
                 record.qemus,
-                detach_tag=self.detach_tag,
                 image_suffix=suffix,
                 extra_meta={"generation": gen, "job": record.job_id},
                 # In-place tick: the physical port never left the subnet,

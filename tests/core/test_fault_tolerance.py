@@ -1,36 +1,10 @@
-"""Unit/integration tests: health monitoring and reactive FT."""
+"""Unit tests: the node health feed."""
 
 import pytest
 
-from repro.core.checkpointing import ProactiveCheckpoint
-from repro.core.fault_tolerance import (
-    FaultToleranceManager,
-    Health,
-    HealthMonitor,
-)
+from repro.core.fault_tolerance import Health, HealthMonitor
 from repro.errors import HardwareError
 from repro.hardware.cluster import build_agc_cluster
-from repro.storage.nfs import NfsServer
-from repro.testbed import create_job, provision_vms
-from repro.units import GiB
-from tests.conftest import drive
-
-
-def _busy(proc, comm):
-    for _ in range(1_000_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-    return None
-
-
-def _setup(ib=2, eth=4):
-    cluster = build_agc_cluster(ib_nodes=ib, eth_nodes=eth)
-    hosts = [f"ib{i+1:02d}" for i in range(ib)]
-    vms = provision_vms(cluster, hosts, memory_bytes=4 * GiB)
-    job = create_job(cluster, vms, procs_per_vm=1)
-    drive(cluster.env, job.init(), name="init")
-    job.launch(_busy)
-    return cluster, vms, job
 
 
 # -- HealthMonitor --------------------------------------------------------------
@@ -61,57 +35,3 @@ def test_monitor_scheduled_report():
     cluster.env.run(until=10.0)
     assert monitor.state["ib01"] is Health.FAILED
     assert monitor.events[0].time == pytest.approx(5.0)
-
-
-# -- reactive evacuation ------------------------------------------------------------
-
-
-def test_warning_triggers_automatic_evacuation():
-    cluster, vms, job = _setup()
-    manager = FaultToleranceManager(cluster, job, vms)
-    manager.monitor.schedule_report(10.0, "ib01", Health.WARNING, "thermal")
-    cluster.env.run(until=250.0)
-    assert manager.actions and manager.actions[0].kind == "evacuate"
-    assert manager.actions[0].ok
-    # Every VM left the degraded node (whole-fleet evacuation).
-    assert all(q.node.name != "ib01" for q in vms)
-    # Job survived.
-    assert job.live_ranks == job.size
-
-
-def test_evacuation_requires_capacity():
-    cluster, vms, job = _setup(ib=2, eth=0)
-    # Only the two IB nodes exist and one is degraded: nowhere to go.
-    manager = FaultToleranceManager(cluster, job, vms)
-    manager.monitor.schedule_report(5.0, "ib01", Health.WARNING)
-    cluster.env.run(until=50.0)
-    assert manager.actions and not manager.actions[0].ok
-    assert "capacity" in manager.actions[0].detail
-
-
-def test_failure_without_checkpoint_reports_loss():
-    cluster, vms, job = _setup()
-    manager = FaultToleranceManager(cluster, job, vms)
-    manager.monitor.schedule_report(5.0, "ib01", Health.FAILED, "PSU")
-    cluster.env.run(until=20.0)
-    assert manager.actions[0].kind == "restore"
-    assert not manager.actions[0].ok
-    assert "no checkpoint" in manager.actions[0].detail
-
-
-def test_checkpoint_schedule_then_failure_restores():
-    cluster, vms, job = _setup()
-    store = NfsServer(cluster.env)
-    checkpointer = ProactiveCheckpoint(cluster, store)
-    manager = FaultToleranceManager(
-        cluster, job, vms, checkpointer=checkpointer
-    )
-    env = cluster.env
-    env.process(manager.run_checkpoint_schedule(period_s=60.0, rounds=2))
-    # Fail ib01 after the first checkpoint completes (~60 + sequence).
-    manager.monitor.schedule_report(250.0, "ib01", Health.FAILED, "kernel panic")
-    env.run(until=400.0)
-    assert manager.last_checkpoint is not None
-    restore_actions = [a for a in manager.actions if a.kind == "restore"]
-    assert restore_actions and restore_actions[0].ok
-    assert "restored" in restore_actions[0].detail

@@ -113,10 +113,3 @@ def test_schedule_in_past_rejected():
     plan = scheduler.plan_fallback(vms)
     with pytest.raises(SchedulerError):
         scheduler.schedule(5.0, "too-late", plan, job)
-
-
-def test_plan_spread_auto_attach():
-    cluster, vms, job = _setup()
-    scheduler = CloudScheduler(cluster)
-    plan = scheduler.plan_spread(vms, ["ib01", "eth01"])
-    assert [e.attach_ib for e in plan.entries] == [True, False]

@@ -5,10 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ControllerCrashError, IncidentError
-from repro.hardware.cluster import build_agc_cluster
-from repro.incident.correlator import Incident
+from repro.incident.correlator import RESOLVED, Incident
 from repro.incident.runbook import DEFAULT_RUNBOOK, RunbookExecutor, RunbookStep
 from repro.orchestrator import FleetOrchestrator
+from repro.recovery.checkpoints import FleetCheckpointService
+from repro.storage.nfs import NfsServer
+from repro.testbed import create_job, provision_vms
+from repro.units import GiB
+from repro.vmm.vm import RunState
 
 from tests.conftest import drive
 
@@ -226,3 +230,31 @@ def test_default_runbook_covers_all_classes():
         assert steps, klass
         # Every class restores service somewhere (stamps MTTR).
         assert any(s.restores_service for s in steps), klass
+
+
+def test_host_death_before_any_checkpoint_reports_the_job_lost(cluster44, orch):
+    """A host dies before its job's first checkpoint generation commits:
+    the restore step has nothing to restore from.  It must fail at once
+    with the job named, not wait out its timeout, and the VM stays lost."""
+    env = cluster44.env
+    qemus = provision_vms(cluster44, ["ib01"], memory_bytes=1 * GiB)
+    job = create_job(cluster44, qemus, procs_per_vm=1)
+    drive(env, job.init(), name="init")
+    orch.register_job("j0", job, qemus)
+    # A checkpoint service is attached but has never run a generation.
+    service = FleetCheckpointService(cluster44, orch.store, NfsServer(env), orch.journal)
+    executor = RunbookExecutor(cluster44, orch, checkpoints=service)
+    assert cluster44.fail_host("ib01") == [qemus[0].vm.name]
+    incident = _incident(klass="host-failure", hosts={"ib01"}, jobs={"j0"})
+    t0 = env.now
+
+    with pytest.raises(IncidentError, match="j0: no committed checkpoint generation"):
+        drive(env, executor.execute(incident))
+
+    restore = DEFAULT_RUNBOOK["host-failure"][-1]
+    assert restore.action == "restore-from-checkpoint"
+    assert env.now - t0 < restore.timeout_s
+    assert qemus[0].vm.state is RunState.SHUTOFF
+    assert executor.restores == []
+    assert incident.status != RESOLVED
+    assert not orch.journal.restore_commit_for(incident.incident_id, "j0")

@@ -2,6 +2,7 @@
 
 from repro.core.fault_tolerance import Health, HealthMonitor
 from repro.orchestrator import FleetConfig, FleetOrchestrator
+from repro.orchestrator.admission import EVACUATION_PRIORITY
 from repro.testbed import create_job, provision_vms
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
@@ -90,7 +91,7 @@ def test_health_warning_enqueues_evacuation(cluster44):
     drive(env, experiment(), name="exp")
     [request] = orch.requests
     assert request.kind == "evacuate"
-    assert request.priority == orch.config.evacuation_priority
+    assert request.priority == EVACUATION_PRIORITY
     assert request.status == "completed"
     assert qemus[0].node.name != "ib01"
     # A second WARNING while the first evacuation is pending is deduped.

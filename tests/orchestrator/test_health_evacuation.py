@@ -8,6 +8,7 @@ is condemned."""
 
 from repro.core.fault_tolerance import Health, HealthMonitor
 from repro.network.degradation import DegradationEvent, NetworkChaos
+from repro.orchestrator.admission import EVACUATION_PRIORITY
 from repro.orchestrator.executor import FleetOrchestrator
 from repro.recovery.failure_detector import HeartbeatMonitor
 from repro.testbed import create_job, provision_vms
@@ -56,7 +57,7 @@ def test_heartbeat_loss_triggers_evacuation(cluster44):
     evacuations = [r for r in orch.requests if r.kind == "evacuate"]
     assert len(evacuations) == 1
     assert evacuations[0].status == "completed"
-    assert evacuations[0].priority == orch.config.evacuation_priority
+    assert evacuations[0].priority == EVACUATION_PRIORITY
     assert qemus[0].node.name != "ib01"
     # The silent node was eventually condemned, and only that node moved.
     env.run(until=env.now + 120.0)

@@ -1,4 +1,4 @@
-"""Placement engine + the reservation-aware cloud scheduler."""
+"""Placement engine and the cloud scheduler that picks through it."""
 
 import pytest
 
@@ -47,44 +47,6 @@ def test_hca_reservation_blocks_attach_placement(cluster44):
     store.reserve("ib01", 1 * GiB, owner="other", hca=True)
     hosts = engine.pick_spread(qemus, cluster44.ib_nodes(), need_hca=True)
     assert hosts == ["ib02"]
-
-
-def test_scheduler_claims_through_the_store(cluster44):
-    store = FleetStateStore(cluster44)
-    sched_a = CloudScheduler(cluster44, state=store)
-    sched_b = CloudScheduler(cluster44, state=store)
-    _, qemus_a = _vms(cluster44, ["ib01"], prefix="a")
-    _, qemus_b = _vms(cluster44, ["ib02"], prefix="b")
-    # Leave exactly one VM slot on eth01 so the two plans *must* contend.
-    node = cluster44.node("eth01")
-    store.reserve("eth01", int(store.available_bytes(node)) - 4 * GiB, owner="hog")
-    plan_a = sched_a.plan_fallback(qemus_a, consolidate_to=1)
-    assert plan_a.dst_hostlist == ["eth01"]
-    # The second scheduler sees the first one's claim and picks elsewhere.
-    plan_b = sched_b.plan_fallback(qemus_b, consolidate_to=1)
-    assert plan_b.dst_hostlist == ["eth02"]
-    assert store.reserved_bytes("eth02") == 4 * GiB
-    sched_a.release_plan(plan_a)
-    assert store.available_bytes(node) == 4 * GiB
-
-
-def test_scheduler_releases_claim_after_run(cluster44):
-    store = FleetStateStore(cluster44)
-    scheduler = CloudScheduler(cluster44, state=store)
-    job, qemus = _vms(cluster44, ["ib01"])
-
-    def busy(proc, comm):
-        for _ in range(100_000):
-            yield proc.vm.compute(0.2, nthreads=1)
-            yield from comm.barrier()
-
-    job.launch(busy)
-    plan = scheduler.plan_fallback(qemus)
-    dst = plan.dst_hostlist[0]
-    assert store.reserved_bytes(dst) == 4 * GiB
-    drive(cluster44.env, scheduler.run_now("test", plan, job), name="mig")
-    assert store.reserved_bytes(dst) == 0
-    assert qemus[0].node.name == dst
 
 
 def test_scheduler_without_store_matches_seed_behaviour(cluster44):
